@@ -5,7 +5,8 @@
     pabr check   <kb>
 
 Exit codes: 0 success (check: consistent), 1 check found contradictions,
-2 parse errors, 3 total inconsistency, 4 bounds precondition violated.
+2 parse errors or unreadable/unwritable files, 3 total inconsistency,
+4 bounds precondition violated.
 Query output is a single JSON object, byte-identical across runs for
 identical inputs; probabilities carry 12 significant digits.
 """
@@ -32,6 +33,10 @@ _METHODS = {
     "bounds": probability.BOUNDS,
     "oracle": "oracle",
 }
+
+
+# Bad input text, and files that cannot be opened, decoded or written.
+_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)
 
 
 def _fail(message: str, code: int) -> int:
@@ -66,13 +71,16 @@ def cmd_compile(args) -> int:
     try:
         doc = kbfile.parse_kb_file(args.kb)
         kb, _table = kbfile.build_kb(doc)
-    except ParseError as err:
+    except _INPUT_ERRORS as err:
         return _fail(str(err), 2)
     state = consequence.compile_clauses(kb.alphabet, kb.sigma_k, with_pi=args.pi)
     if state.is_plainly_inconsistent:
         return _fail("knowledge clauses are inconsistent without any assumptions", 3)
     out = args.out or (args.kb + ".snap")
-    consequence.write_snapshot(state, out)
+    try:
+        consequence.write_snapshot(state, out)
+    except OSError as err:
+        return _fail(str(err), 2)
     summary = f"compiled {len(kb.sigma_k)} clause(s): {len(state.carc)} characteristic clause(s)"
     if state.pi is not None:
         summary += f", {len(state.pi)} prime implicate(s)"
@@ -87,7 +95,7 @@ def cmd_query(args) -> int:
         kb, table = kbfile.build_kb(doc)
         hypothesis = parse_formula(args.query, kb.alphabet)
         state = _load_state(args, kb)
-    except ParseError as err:
+    except _INPUT_ERRORS as err:
         return _fail(str(err), 2)
     sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
     method = _METHODS[args.method]
@@ -133,7 +141,7 @@ def cmd_check(args) -> int:
     try:
         doc = kbfile.parse_kb_file(args.kb)
         kb, _table = kbfile.build_kb(doc)
-    except ParseError as err:
+    except _INPUT_ERRORS as err:
         return _fail(str(err), 2)
     mc = support.minimal_contradictions(kb)
     if any(t.is_empty for t in mc):

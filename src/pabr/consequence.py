@@ -4,7 +4,10 @@ The central object is the set of minimal implicates of a clause set that
 fall inside a production field (a subsumption-stable clause language).
 Two fields matter here: clauses over assumption symbols only, and the
 unrestricted field whose minimal implicates are the prime implicates.
-Both sets are maintained incrementally, one input clause at a time.
+A state folds each input clause once: into the prime implicates when it
+tracks them, reading the assumption-only set off them (the field is
+subsumption-stable, so its minimal implicates are exactly the prime
+implicates inside it), and into the assumption-only set directly otherwise.
 """
 
 from __future__ import annotations
@@ -12,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, UndeclaredSymbolError
 from .logic import (
     Alphabet,
     Clause,
     EMPTY_CLAUSE,
     Literal,
-    ASSUMPTION,
     mu_minimize,
+    parse_clause_body,
+    resolve_clause,
     resolvents,
 )
 
@@ -60,12 +64,6 @@ class ProductionField:
         return frozenset(
             Clause.of(Literal(s, True), Literal(s, False)) for s in symbols
         )
-
-
-def _pi_seed(alphabet: Alphabet) -> frozenset[Clause]:
-    return frozenset(
-        Clause.of(Literal(s, True), Literal(s, False)) for s in alphabet.symbols
-    )
 
 
 def produce(sigma: Sequence[Clause], clause: Clause, field: ProductionField) -> frozenset[Clause]:
@@ -116,7 +114,7 @@ class CompiledState:
 
     @classmethod
     def initial(cls, field: ProductionField, with_pi: bool = False) -> CompiledState:
-        pi = _pi_seed(field.alphabet) if with_pi else None
+        pi = ProductionField.all_clauses(field.alphabet).seed_clauses() if with_pi else None
         return cls(field=field, carc=field.seed_clauses(), processed=(), pi=pi)
 
     @property
@@ -136,26 +134,28 @@ def carc_add(state: CompiledState, clause: Clause) -> CompiledState:
 
 
 def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
-    """Fold one clause into the prime implicate set.
+    """Fold one clause into the prime implicates and read carc off them.
 
     The previous prime implicates stand in for the processed clauses as
-    side clauses; they are equivalent to them and already minimal.
+    side clauses; they are equivalent to them and already minimal. The new
+    carc is the part of the new prime implicate set inside `state.field`.
     """
     if state.pi is None:
         raise ValueError("state was compiled without prime implicates")
+    processed = state.processed + (clause,)
     if clause.is_tautology:
-        return state
+        return replace(state, processed=processed)
     full = ProductionField.all_clauses(state.field.alphabet)
-    fresh = produce(tuple(state.pi), clause, full)
-    return replace(state, pi=mu_minimize(state.pi | fresh))
+    pi = mu_minimize(state.pi | produce(tuple(state.pi), clause, full))
+    carc = frozenset(c for c in pi if state.field.contains(c))
+    return replace(state, carc=carc, processed=processed, pi=pi)
 
 
 def extend(state: CompiledState, clause: Clause) -> CompiledState:
-    """carc_add plus, when the snapshot tracks prime implicates, pi_add."""
-    state = carc_add(state, clause)
-    if state.pi is not None:
-        state = pi_add(state, clause)
-    return state
+    """Fold one clause: pi_add when the state tracks prime implicates, else carc_add."""
+    if state.pi is None:
+        return carc_add(state, clause)
+    return pi_add(state, clause)
 
 
 def compile_clauses(
@@ -175,26 +175,6 @@ _SECTIONS = ("carc", "pi", "processed")
 
 def _clause_line(clause: Clause) -> str:
     return _EMPTY_TOKEN if clause.is_empty else str(clause)
-
-
-def _parse_clause_line(line: str, alphabet: Alphabet, lineno: int) -> Clause:
-    if line == _EMPTY_TOKEN:
-        return EMPTY_CLAUSE
-    literals = []
-    for piece in line.split("|"):
-        token = piece.strip()
-        if not token:
-            raise ParseError("empty literal", line=lineno)
-        positive = True
-        if token[0] in "-!":
-            positive = False
-            token = token[1:].strip()
-        try:
-            sym = alphabet.lookup(token)
-        except ParseError:
-            raise ParseError(f"undeclared identifier: {token}", line=lineno) from None
-        literals.append(Literal(sym, positive))
-    return Clause(frozenset(literals))
 
 
 def snapshot_text(state: CompiledState) -> str:
@@ -233,7 +213,11 @@ def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
             continue
         if current is None:
             raise ParseError("clause before any section header", line=lineno)
-        sections[current].append(_parse_clause_line(line, alphabet, lineno))
+        raw_clause = parse_clause_body("" if line == _EMPTY_TOKEN else raw, lineno)
+        try:
+            sections[current].append(resolve_clause(raw_clause, alphabet))
+        except UndeclaredSymbolError as err:
+            raise UndeclaredSymbolError(str(err), line=lineno) from None
     if "carc" not in sections:
         raise ParseError("missing [carc] section", line=1)
     return CompiledState(

@@ -15,18 +15,20 @@ asserts the empty clause.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .logic import ASSUMPTION, PROPOSITION, Alphabet, Clause, Literal
+from .logic import (
+    ASSUMPTION,
+    IDENT_RE,
+    PROPOSITION,
+    Alphabet,
+    RawClause,
+    parse_clause_body,
+    resolve_clause,
+)
 from .probability import AssumptionTable
 from .support import KnowledgeBase
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-
-RawLiteral = tuple[bool, str]  # (negated, name)
-RawClause = tuple[RawLiteral, ...]
 
 
 @dataclass(frozen=True)
@@ -37,32 +39,6 @@ class KbDocument:
     propositions: tuple[str, ...] = ()
     knowledge: tuple[RawClause, ...] = ()
     facts: tuple[RawClause, ...] = ()
-
-
-def _parse_raw_literal(token: str, lineno: int, column: int) -> RawLiteral:
-    negated = False
-    name = token
-    if name[:1] in ("-", "!"):
-        negated = True
-        name = name[1:].strip()
-    if not _IDENT_RE.match(name):
-        raise ParseError(f"malformed literal {token!r}", line=lineno, column=column)
-    return (negated, name)
-
-
-def _parse_clause_body(body: str, body_offset: int, lineno: int) -> RawClause:
-    if not body.strip():
-        return ()
-    literals = []
-    offset = body_offset
-    for piece in body.split("|"):
-        token = piece.strip()
-        column = offset + piece.index(token) + 1 if token else offset + 1
-        if not token:
-            raise ParseError("empty literal", line=lineno, column=column)
-        literals.append(_parse_raw_literal(token, lineno, column))
-        offset += len(piece) + 1
-    return tuple(literals)
 
 
 def parse_kb_text(text: str) -> KbDocument:
@@ -90,7 +66,7 @@ def parse_kb_text(text: str) -> KbDocument:
                     "expected: assumption <name> <probability>", line=lineno, column=indent + 1
                 )
             name, prob_text = tokens
-            if not _IDENT_RE.match(name):
+            if not IDENT_RE.fullmatch(name):
                 raise ParseError(f"malformed name {name!r}", line=lineno, column=body_offset + 1)
             if name in declared:
                 raise ParseError(f"symbol declared twice: {name}", line=lineno, column=body_offset + 1)
@@ -111,14 +87,14 @@ def parse_kb_text(text: str) -> KbDocument:
             if not names:
                 raise ParseError("expected: prop <name> ...", line=lineno, column=indent + 1)
             for name in names:
-                if not _IDENT_RE.match(name):
+                if not IDENT_RE.fullmatch(name):
                     raise ParseError(f"malformed name {name!r}", line=lineno, column=indent + 1)
                 if name in declared:
                     raise ParseError(f"symbol declared twice: {name}", line=lineno, column=indent + 1)
                 declared.add(name)
                 propositions.append(name)
         elif keyword in ("clause", "fact"):
-            clause = _parse_clause_body(body, body_offset, lineno)
+            clause = parse_clause_body(body, lineno, body_offset)
             for negated, name in clause:
                 if name not in declared:
                     raise ParseError(f"undeclared identifier: {name}", line=lineno, column=indent + 1)
@@ -157,12 +133,6 @@ def serialize_kb(doc: KbDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_clause(raw: RawClause, alphabet: Alphabet) -> Clause:
-    return Clause(
-        frozenset(Literal(alphabet.lookup(name), not negated) for negated, name in raw)
-    )
-
-
 def build_kb(doc: KbDocument) -> tuple[KnowledgeBase, AssumptionTable]:
     """Resolve names into symbols; assumptions take the low indices."""
     alphabet = Alphabet()
@@ -175,7 +145,7 @@ def build_kb(doc: KbDocument) -> tuple[KnowledgeBase, AssumptionTable]:
     kb = KnowledgeBase(
         alphabet=alphabet,
         assumptions=table,
-        sigma_k=tuple(_resolve_clause(c, alphabet) for c in doc.knowledge),
-        sigma_f=tuple(_resolve_clause(c, alphabet) for c in doc.facts),
+        sigma_k=tuple(resolve_clause(c, alphabet) for c in doc.knowledge),
+        sigma_f=tuple(resolve_clause(c, alphabet) for c in doc.facts),
     )
     return kb, table

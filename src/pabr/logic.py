@@ -19,7 +19,7 @@ from .errors import ParseError, PivotError, UndeclaredSymbolError
 PROPOSITION = "proposition"
 ASSUMPTION = "assumption"
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Alphabet:
         self._by_name: dict[str, Symbol] = {}
 
     def declare(self, name: str, kind: str) -> Symbol:
-        if not _IDENT_RE.fullmatch(name):
+        if not IDENT_RE.fullmatch(name):
             raise ValueError(f"invalid symbol name: {name!r}")
         if name in self._by_name:
             raise ValueError(f"symbol declared twice: {name}")
@@ -254,6 +254,42 @@ def resolvents(c1: Clause, c2: Clause) -> Iterator[Clause]:
         yield resolve(c1, c2, pivot)
 
 
+# --- clause lines -----------------------------------------------------------
+
+RawLiteral = tuple[bool, str]  # (negated, name)
+RawClause = tuple[RawLiteral, ...]
+
+
+def parse_clause_body(body: str, lineno: int, offset: int = 0) -> RawClause:
+    """Literals of a `|`-separated clause line, names not yet resolved.
+
+    Literals negate with a leading "-" or "!"; a blank body is the empty
+    clause. `offset` is the 0-based column where `body` starts in its line,
+    so errors carry the 1-based line and column of the bad literal.
+    """
+    if not body.strip():
+        return ()
+    literals = []
+    column = offset + 1
+    for piece in body.split("|"):
+        token = piece.strip()
+        negated = token[:1] in ("-", "!")
+        name = token[1:].strip() if negated else token
+        if not IDENT_RE.fullmatch(name):
+            message = f"malformed literal {token!r}" if token else "empty literal"
+            raise ParseError(message, line=lineno, column=column + piece.find(token))
+        literals.append((negated, name))
+        column += len(piece) + 1
+    return tuple(literals)
+
+
+def resolve_clause(raw: RawClause, alphabet: Alphabet) -> Clause:
+    """The clause of `raw` over `alphabet`; an unknown name raises UndeclaredSymbolError."""
+    return Clause(
+        frozenset(Literal(alphabet.lookup(name), not negated) for negated, name in raw)
+    )
+
+
 # --- formulas ---------------------------------------------------------------
 
 
@@ -313,7 +349,7 @@ def _tokenize(text: str) -> list[tuple[str, int, str]]:
                 i += 2
                 continue
             raise ParseError("expected '->'", offset=i)
-        m = _IDENT_RE.match(text, i)
+        m = IDENT_RE.match(text, i)
         if m:
             tokens.append(("ident", i, m.group()))
             i = m.end()

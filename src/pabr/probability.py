@@ -260,7 +260,6 @@ def evaluate(
     method: str = AUTO,
     l: int | None = None,
     hypothesis: Formula | None = None,
-    auto_threshold: int = AUTO_METHOD_THRESHOLD,
 ) -> SupportReport:
     """Turn support sets into probabilities and a degree of support.
 
@@ -272,20 +271,14 @@ def evaluate(
     """
     qs_terms = _canonical(set(sets.mqs) | set(sets.mc))
     mc_terms = _canonical(sets.mc)
-    if method == AUTO:
-        chosen = (
-            INCLUSION_EXCLUSION if len(qs_terms) <= auto_threshold else DISJOINT_PRODUCTS
-        )
-    else:
-        chosen = method
+    by_size = (
+        INCLUSION_EXCLUSION if len(qs_terms) <= AUTO_METHOD_THRESHOLD else DISJOINT_PRODUCTS
+    )
+    chosen = by_size if method == AUTO else method
+    exact = by_size if chosen == BOUNDS else chosen
     bounds = None
     if chosen == BOUNDS:
         bounds = bonferroni_bounds(qs_terms, table, 1 if l is None else l)
-        exact = (
-            INCLUSION_EXCLUSION if len(qs_terms) <= auto_threshold else DISJOINT_PRODUCTS
-        )
-    else:
-        exact = chosen
     qs_prob = _union_prob(qs_terms, table, exact)
     contra_prob = _union_prob(mc_terms, table, exact)
     # The union over mqs+mc covers the union over mc; guard the identity

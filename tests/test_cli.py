@@ -113,13 +113,15 @@ def test_query_output_is_byte_stable(kb_path, capsys):
 
 
 def test_query_via_snapshot_matches_direct(kb_path, capsys):
+    # the burglar fact folds into [carc], or through [pi] with --pi
     path = kb_path(helpers.BURGLAR_TEXT)
-    assert run(capsys, "compile", path)[0] == 0
     _, direct, _ = run(capsys, "query", path, "-q", "burglary")
-    _, snapped, _ = run(
-        capsys, "query", path, "-q", "burglary", "--snapshot", path + ".snap"
-    )
-    assert direct == snapped
+    for compile_flags in ((), ("--pi",)):
+        assert run(capsys, "compile", path, *compile_flags)[0] == 0
+        _, snapped, _ = run(
+            capsys, "query", path, "-q", "burglary", "--snapshot", path + ".snap"
+        )
+        assert direct == snapped
 
 
 def test_query_oracle_method_agrees(kb_path, capsys):
@@ -223,3 +225,39 @@ def test_check_parse_error(kb_path, capsys):
     path = kb_path("prop p\nclause q\n")
     code, _out, err = run(capsys, "check", path)
     assert code == 2 and "q" in err
+
+
+# --- files -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv", [("compile",), ("query", "-q", "burglary"), ("check",)]
+)
+def test_missing_kb_file_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent.pabr")
+    code, _out, err = run(capsys, argv[0], missing, *argv[1:])
+    assert code == 2
+    assert err.startswith("error:") and "absent.pabr" in err
+
+
+def test_undecodable_kb_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.pabr"
+    path.write_bytes(b"prop caf\xe9\n")
+    code, _out, err = run(capsys, "check", str(path))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_missing_snapshot_exits_2(kb_path, tmp_path, capsys):
+    path = kb_path(helpers.BURGLAR_TEXT)
+    missing = str(tmp_path / "absent.snap")
+    code, _out, err = run(capsys, "query", path, "-q", "burglary", "--snapshot", missing)
+    assert code == 2
+    assert err.startswith("error:") and "absent.snap" in err
+
+
+def test_unwritable_snapshot_path_exits_2(kb_path, tmp_path, capsys):
+    path = kb_path(helpers.BURGLAR_TEXT)
+    out_path = str(tmp_path / "no_such_dir" / "kb.snap")
+    code, out, err = run(capsys, "compile", path, "-o", out_path)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "kb.snap" in err

@@ -238,6 +238,42 @@ def test_carc_equals_assumption_only_prime_implicates():
         assert state.carc == frozenset(c for c in state.pi if c.is_assumption_only)
 
 
+def test_facts_fold_through_pi_of_a_snapshot():
+    # knowledge compiled with pi and round-tripped through snapshot text, then
+    # facts folded by pi_add alone: carc must match the carc-only fold
+    rng = random.Random(2718)
+    for _ in range(25):
+        kb, _table = helpers.small_random_kb(rng)
+        split = rng.randint(0, len(kb.sigma_k))
+        knowledge, facts = kb.sigma_k[:split], kb.sigma_k[split:]
+        compiled = compile_clauses(kb.alphabet, knowledge, with_pi=True)
+        state = parse_snapshot(snapshot_text(compiled), kb.alphabet)
+        for c in facts:
+            state = extend(state, c)
+        carc_only = compile_clauses(kb.alphabet, kb.sigma_k)
+        assert state.carc == carc_only.carc == expected_carc(kb.sigma_k, kb.alphabet)
+        assert state.pi == expected_pi(kb.sigma_k, kb.alphabet)
+        assert state.processed == carc_only.processed
+
+
+@pytest.mark.parametrize("with_pi", [False, True])
+def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
+    calls = []
+
+    def counting(sigma, clause, field):
+        calls.append(clause)
+        return produce(sigma, clause, field)
+
+    monkeypatch.setattr("pabr.consequence.produce", counting)
+    alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
+    state = compile_clauses(alphabet, [helpers.clause((a1, False), (p, True))], with_pi)
+    unit = helpers.clause((p, False))
+    state = extend(state, unit)
+    state = extend(state, helpers.clause((p, True), (p, False)))
+    assert calls == [helpers.clause((a1, False), (p, True)), unit]
+    assert len(state.processed) == 3
+
+
 # --- snapshots -------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from pabr.errors import (
 from pabr.logic import EMPTY_TERM, mu_minimize
 from pabr.probability import (
     AUTO,
+    AUTO_METHOD_THRESHOLD,
     BOUNDS,
     DISJOINT_PRODUCTS,
     INCLUSION_EXCLUSION,
@@ -346,15 +348,21 @@ def test_evaluate_bounds_method_reports_bracket_and_exact_points():
 
 
 def test_evaluate_auto_switches_on_term_count():
-    (a1, a2), table = halves(2)
-    sets = SupportSets(
-        mqs=frozenset([helpers.term((a1, True)), helpers.term((a2, True))]),
-        mc=frozenset(),
-    )
-    assert evaluate(sets, table).method == INCLUSION_EXCLUSION
-    report = evaluate(sets, table, auto_threshold=1)
-    assert report.method == DISJOINT_PRODUCTS
-    assert report.qs_prob == 0.75
+    # distinct full minterms are pairwise inconsistent, so inclusion-exclusion
+    # prunes every subset of two or more and stays cheap at the threshold
+    assumptions, table = halves(5)
+    minterms = [
+        helpers.term(*zip(assumptions, signs))
+        for signs in product((True, False), repeat=len(assumptions))
+    ]
+    for count, method in (
+        (AUTO_METHOD_THRESHOLD, INCLUSION_EXCLUSION),
+        (AUTO_METHOD_THRESHOLD + 1, DISJOINT_PRODUCTS),
+    ):
+        sets = SupportSets(mqs=frozenset(minterms[:count]), mc=frozenset())
+        report = evaluate(sets, table)
+        assert report.method == method
+        assert report.qs_prob == pytest.approx(count / 32, abs=1e-12)
 
 
 def test_evaluate_explicit_methods_agree():
