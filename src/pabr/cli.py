@@ -5,7 +5,8 @@
     pabr check   <kb>
 
 Exit codes: 0 success (check: consistent), 1 check found contradictions,
-2 parse errors or unreadable/unwritable files, 3 total inconsistency,
+2 parse errors, unreadable/unwritable files, a snapshot compiled from other
+clauses, or a query formula nested too deeply, 3 total inconsistency,
 4 bounds precondition violated.
 Query output is a single JSON object, byte-identical across runs for
 identical inputs; probabilities carry 12 significant digits.
@@ -22,6 +23,7 @@ from .errors import (
     BoundsPreconditionError,
     EnumerationLimitError,
     ParseError,
+    StaleSnapshotError,
     TotalInconsistencyError,
 )
 from .logic import Term, parse_formula
@@ -35,8 +37,9 @@ _METHODS = {
 }
 
 
-# Bad input text, and files that cannot be opened, decoded or written.
-_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)
+# Bad input text, files that cannot be opened, decoded or written, and
+# snapshots that do not belong to the knowledge base.
+_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError, StaleSnapshotError)
 
 
 def _fail(message: str, code: int) -> int:
@@ -57,9 +60,16 @@ def _terms_json(terms) -> list[list[str]]:
 
 
 def _load_state(args, kb) -> consequence.CompiledState:
-    """Snapshot if given, else a fresh fold of the stable knowledge."""
+    """Snapshot if given, else a fresh fold of the stable knowledge.
+
+    A snapshot must have folded exactly the knowledge base's `clause` lines.
+    """
     if args.snapshot:
         state = consequence.read_snapshot(args.snapshot, kb.alphabet)
+        if state.processed != kb.sigma_k:
+            raise StaleSnapshotError(
+                f"snapshot {args.snapshot} was not compiled from the clauses of {args.kb}"
+            )
     else:
         state = consequence.compile_clauses(kb.alphabet, kb.sigma_k)
     for clause in kb.sigma_f:
@@ -95,9 +105,12 @@ def cmd_query(args) -> int:
         kb, table = kbfile.build_kb(doc)
         hypothesis = parse_formula(args.query, kb.alphabet)
         state = _load_state(args, kb)
+        sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
     except _INPUT_ERRORS as err:
         return _fail(str(err), 2)
-    sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
+    except RecursionError:
+        # parsing and clause conversion recurse once per nesting level
+        return _fail("formula nested too deeply", 2)
     method = _METHODS[args.method]
     try:
         if method == "oracle":

@@ -41,6 +41,10 @@ class UndeclaredSymbolError(ParseError):
     """An identifier was used without a prior declaration."""
 
 
+class StaleSnapshotError(PabrError):
+    """A snapshot was compiled from other clauses than the knowledge base's."""
+
+
 class PivotError(PabrError):
     """Resolution was requested on a symbol that is not complementary in the parents."""
 

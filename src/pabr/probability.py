@@ -1,10 +1,10 @@
 """Probability of assumption-term unions and degrees of support.
 
-Terms over independent assumptions have product probabilities; the
-probability of a union of terms is computed exactly by inclusion-exclusion
-or by a sum of disjoint products, bracketed by truncated alternating sums
-when only a cheap estimate is wanted. The degree of support conditions the
-quasi-support probability on consistency.
+Terms over independent assumptions have product probabilities. A union of
+terms is computed exactly by one sum of disjoint products over the terms
+taken shortest first, at every size; inclusion-exclusion stays as a
+reference, and truncated alternating sums bracket the union cheaply. The
+degree of support conditions the quasi-support probability on consistency.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ INCLUSION_EXCLUSION = "inclusion_exclusion"
 DISJOINT_PRODUCTS = "disjoint_products"
 BOUNDS = "bounds"
 AUTO = "auto"
-
-# Above this many terms the auto selector switches from inclusion-exclusion
-# (2^r subsets worst case) to the linear-memory disjoint-product sum.
-AUTO_METHOD_THRESHOLD = 20
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,9 @@ def term_prob(term: Term, table: AssumptionTable) -> float:
     return p
 
 
-def _term_sort_key(term: Term):
-    return term.sort_key
-
-
 def _canonical(terms: Iterable[Term]) -> list[Term]:
-    return sorted(set(terms), key=_term_sort_key)
+    """Distinct terms, shortest first, ties broken by literal order."""
+    return sorted(set(terms), key=lambda t: (len(t), t.sort_key))
 
 
 def _subset_sums(terms: Sequence[Term], table: AssumptionTable, kmax: int) -> list[float]:
@@ -175,23 +168,22 @@ def _is_disjoint(frag: dict, term_lits: Sequence[tuple[Symbol, bool]]) -> bool:
     return any(frag.get(sym) == (not positive) for sym, positive in term_lits)
 
 
-def disjoint_products(terms: Sequence[Term]) -> list[Term]:
-    """Rewrite a term list into pairwise disjoint fragments with the same union.
+def _fragments(terms: Sequence[Term]) -> list[dict[Symbol, bool]]:
+    """Split a term list into pairwise disjoint fragments with the same union.
 
     Each term is split against every earlier one: fragments already carrying
     a complementary literal stay, fragments covered by the earlier term are
     dropped, and the rest are expanded along the earlier term's missing
-    literals so exactly one branch negates each. Fragment probabilities can
-    then simply be added.
+    literals so exactly one branch negates each. Fragments come back as
+    symbol -> polarity maps; taking the terms shortest first keeps their
+    number small (a fault chain of n links needs n + 1).
     """
-    fragments_out: list[Term] = []
-    term_lits = [
-        [(l.symbol, l.positive) for l in t.sorted_literals] for t in terms
-    ]
     for t in terms:
         if t.is_inconsistent:
             raise InconsistentTermError(f"inconsistent input term: {t}")
         _check_assumption_term(t)
+    term_lits = [[(l.symbol, l.positive) for l in t.sorted_literals] for t in terms]
+    out: list[dict[Symbol, bool]] = []
     for j in range(len(terms)):
         frags: list[dict] = [dict(term_lits[j])]
         for i in range(j):
@@ -201,13 +193,7 @@ def disjoint_products(terms: Sequence[Term]) -> list[Term]:
                 if _is_disjoint(frag, earlier):
                     nxt.append(frag)
                     continue
-                missing = [
-                    (sym, positive)
-                    for sym, positive in earlier
-                    if sym not in frag
-                ]
-                if not missing:
-                    continue
+                missing = [(sym, positive) for sym, positive in earlier if sym not in frag]
                 prefix: list[tuple[Symbol, bool]] = []
                 for sym, positive in missing:
                     branch = dict(frag)
@@ -216,11 +202,19 @@ def disjoint_products(terms: Sequence[Term]) -> list[Term]:
                     nxt.append(branch)
                     prefix.append((sym, positive))
             frags = nxt
-        fragments_out.extend(
-            Term(frozenset(Literal(sym, pos) for sym, pos in frag.items()))
-            for frag in frags
-        )
-    return fragments_out
+        out.extend(frags)
+    return out
+
+
+def disjoint_products(terms: Sequence[Term]) -> list[Term]:
+    """Pairwise disjoint terms with the union of `terms`, split in the given order.
+
+    Their probabilities can simply be added.
+    """
+    return [
+        Term(frozenset(Literal(sym, pos) for sym, pos in frag.items()))
+        for frag in _fragments(terms)
+    ]
 
 
 def degree_of_support(qs_prob: float, contra_prob: float) -> float:
@@ -250,7 +244,11 @@ def _union_prob(terms: Sequence[Term], table: AssumptionTable, method: str) -> f
     if method == INCLUSION_EXCLUSION:
         return inclusion_exclusion(terms, table)
     if method == DISJOINT_PRODUCTS:
-        return math.fsum(term_prob(d, table) for d in disjoint_products(terms))
+        q = table.prob
+        return math.fsum(
+            math.prod(q(sym) if pos else 1.0 - q(sym) for sym, pos in frag.items())
+            for frag in _fragments(terms)
+        )
     raise ValueError(f"unknown exact method: {method!r}")
 
 
@@ -271,11 +269,8 @@ def evaluate(
     """
     qs_terms = _canonical(set(sets.mqs) | set(sets.mc))
     mc_terms = _canonical(sets.mc)
-    by_size = (
-        INCLUSION_EXCLUSION if len(qs_terms) <= AUTO_METHOD_THRESHOLD else DISJOINT_PRODUCTS
-    )
-    chosen = by_size if method == AUTO else method
-    exact = by_size if chosen == BOUNDS else chosen
+    chosen = DISJOINT_PRODUCTS if method == AUTO else method
+    exact = DISJOINT_PRODUCTS if chosen == BOUNDS else chosen
     bounds = None
     if chosen == BOUNDS:
         bounds = bonferroni_bounds(qs_terms, table, 1 if l is None else l)

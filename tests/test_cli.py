@@ -101,7 +101,7 @@ def test_query_burglar_golden(kb_path, capsys):
         "qs_prob": 0.99,
         "contradiction_prob": 0.0,
         "support": 0.99,
-        "method": "inclusion_exclusion",
+        "method": "disjoint_products",
     }
 
 
@@ -122,6 +122,27 @@ def test_query_via_snapshot_matches_direct(kb_path, capsys):
             capsys, "query", path, "-q", "burglary", "--snapshot", path + ".snap"
         )
         assert direct == snapped
+
+
+def test_query_stale_snapshot_exits_2(kb_path, capsys):
+    path = kb_path(helpers.BURGLAR_TEXT)
+    assert run(capsys, "compile", path)[0] == 0
+    kb_path(helpers.BURGLAR_TEXT.replace("clause burglary | a2 | -alarm\n", ""))
+    code, out, err = run(capsys, "query", path, "-q", "burglary", "--snapshot", path + ".snap")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "kb.pabr.snap" in err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["(" * 600 + "burglary" + ")" * 600, " & ".join(["burglary"] * 3000)],
+    ids=["nested_parentheses", "flat_conjunction"],
+)
+def test_query_formula_nested_too_deeply_exits_2(kb_path, capsys, formula):
+    path = kb_path(helpers.BURGLAR_TEXT)
+    code, out, err = run(capsys, "query", path, "-q", formula)
+    assert code == 2
+    assert out == "" and err == "error: formula nested too deeply\n"
 
 
 def test_query_oracle_method_agrees(kb_path, capsys):

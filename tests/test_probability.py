@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabr.errors import (
     BoundsPreconditionError,
@@ -12,10 +14,10 @@ from pabr.errors import (
     NonAssumptionLiteralError,
     TotalInconsistencyError,
 )
-from pabr.logic import EMPTY_TERM, mu_minimize
+from pabr.kbfile import build_kb, parse_kb_text
+from pabr.logic import EMPTY_TERM, mu_minimize, parse_formula
 from pabr.probability import (
     AUTO,
-    AUTO_METHOD_THRESHOLD,
     BOUNDS,
     DISJOINT_PRODUCTS,
     INCLUSION_EXCLUSION,
@@ -280,7 +282,7 @@ def test_evaluate_burglar_golden(burglar):
     report = evaluate(sets, table)
     assert report.support == pytest.approx(0.99, abs=1e-12)
     assert report.contra_prob == 0.0
-    assert report.method == INCLUSION_EXCLUSION
+    assert report.method == DISJOINT_PRODUCTS
     assert report.bounds is None
 
 
@@ -347,22 +349,88 @@ def test_evaluate_bounds_method_reports_bracket_and_exact_points():
         )
 
 
-def test_evaluate_auto_switches_on_term_count():
-    # distinct full minterms are pairwise inconsistent, so inclusion-exclusion
-    # prunes every subset of two or more and stays cheap at the threshold
+def test_evaluate_auto_is_disjoint_products_at_every_size():
+    # 20 and 21 distinct full minterms: no term count switches the method
     assumptions, table = halves(5)
     minterms = [
         helpers.term(*zip(assumptions, signs))
         for signs in product((True, False), repeat=len(assumptions))
     ]
-    for count, method in (
-        (AUTO_METHOD_THRESHOLD, INCLUSION_EXCLUSION),
-        (AUTO_METHOD_THRESHOLD + 1, DISJOINT_PRODUCTS),
-    ):
+    for count in (20, 21):
         sets = SupportSets(mqs=frozenset(minterms[:count]), mc=frozenset())
         report = evaluate(sets, table)
-        assert report.method == method
+        assert report.method == DISJOINT_PRODUCTS
         assert report.qs_prob == pytest.approx(count / 32, abs=1e-12)
+
+
+def chain_kb(n):
+    """p0 holds; a_i with p_{i-1} gives p_i, and b_i gives p_i on its own."""
+    rng = random.Random(n)
+    lines = []
+    for i in range(1, n + 1):
+        lines.append(f"assumption a{i} {rng.choice(helpers.Q_CHOICES)}")
+        lines.append(f"assumption b{i} {rng.choice(helpers.Q_CHOICES)}")
+    lines.append("prop " + " ".join(f"p{i}" for i in range(n + 1)))
+    for i in range(1, n + 1):
+        lines.append(f"clause -a{i} | -p{i - 1} | p{i}")
+        lines.append(f"clause -b{i} | p{i}")
+    lines.append("fact p0")
+    return build_kb(parse_kb_text("\n".join(lines) + "\n"))
+
+
+def chain_supports(n):
+    kb, table = chain_kb(n)
+    sets = minimal_quasi_supports(kb, parse_formula(f"p{n}", kb.alphabet))
+    assert len(sets.mqs) == n + 1 and not sets.mc
+    return kb, table, sets
+
+
+def test_evaluate_auto_chain_matches_closed_form():
+    # P(p_i) = q(b_i) + (1 - q(b_i)) q(a_i) P(p_{i-1}), P(p_0) = 1
+    n = 24
+    kb, table, sets = chain_supports(n)
+    expected = 1.0
+    for i in range(1, n + 1):
+        qa = table.prob(kb.alphabet.lookup(f"a{i}"))
+        qb = table.prob(kb.alphabet.lookup(f"b{i}"))
+        expected = qb + (1.0 - qb) * qa * expected
+    report = evaluate(sets, table)
+    assert report.method == DISJOINT_PRODUCTS
+    assert report.qs_prob == pytest.approx(expected, abs=1e-12)
+
+
+def test_disjoint_products_chain_shortest_first_is_linear():
+    n = 12
+    _, table, sets = chain_supports(n)
+    terms = sorted(sets.mqs, key=lambda t: (len(t), t.sort_key))
+    out = disjoint_products(terms)
+    assert len(out) == n + 1
+    total = math.fsum(term_prob(t, table) for t in out)
+    assert total == pytest.approx(inclusion_exclusion(terms, table), abs=1e-12)
+
+
+_, PROPERTY_ASSUMPTIONS, _ = helpers.make_alphabet(5, 0)
+PROPERTY_TABLE = table_over(PROPERTY_ASSUMPTIONS, [0.1, 0.3, 0.5, 0.8, 0.95])
+# consistent terms over five assumptions, the empty term included
+property_terms = st.dictionaries(
+    st.sampled_from(PROPERTY_ASSUMPTIONS), st.booleans(), max_size=5
+).map(lambda lits: helpers.term(*lits.items()))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(property_terms, max_size=9))
+def test_auto_matches_inclusion_exclusion_on_random_unions(terms):
+    terms = terms + terms[: len(terms) // 3]  # duplicates
+    sets = SupportSets(mqs=frozenset(terms), mc=frozenset())
+    report = evaluate(sets, PROPERTY_TABLE)
+    expected = inclusion_exclusion(terms, PROPERTY_TABLE)
+    assert report.qs_prob == pytest.approx(expected, abs=1e-12)
+    fragments = disjoint_products(sorted(terms, key=lambda t: (len(t), t.sort_key)))
+    for i, t1 in enumerate(fragments):
+        for t2 in fragments[i + 1 :]:
+            assert any(l.negate() in t2.literals for l in t1.literals)
+    total = math.fsum(term_prob(t, PROPERTY_TABLE) for t in fragments)
+    assert total == pytest.approx(expected, abs=1e-12)
 
 
 def test_evaluate_explicit_methods_agree():
