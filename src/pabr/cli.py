@@ -22,6 +22,7 @@ from . import consequence, kbfile, oracle, probability, support
 from .errors import (
     BoundsPreconditionError,
     EnumerationLimitError,
+    FormulaTooDeepError,
     ParseError,
     StaleSnapshotError,
     TotalInconsistencyError,
@@ -37,9 +38,12 @@ _METHODS = {
 }
 
 
-# Bad input text, files that cannot be opened, decoded or written, and
-# snapshots that do not belong to the knowledge base.
-_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError, StaleSnapshotError)
+# Bad input text, files that cannot be opened, decoded or written,
+# snapshots that do not belong to the knowledge base, and query formulas
+# nested past the recursion limit.
+_INPUT_ERRORS = (
+    ParseError, OSError, UnicodeDecodeError, StaleSnapshotError, FormulaTooDeepError
+)
 
 
 def _fail(message: str, code: int) -> int:
@@ -59,14 +63,23 @@ def _terms_json(terms) -> list[list[str]]:
     return [_term_json(t) for t in sorted(terms, key=lambda t: t.sort_key)]
 
 
+def _formula_step(fn, *args, **kwargs):
+    """Run a step that recurses once per nesting level of the query formula."""
+    try:
+        return fn(*args, **kwargs)
+    except RecursionError:
+        raise FormulaTooDeepError("formula nested too deeply") from None
+
+
 def _load_state(args, kb) -> consequence.CompiledState:
     """Snapshot if given, else a fresh fold of the stable knowledge.
 
-    A snapshot must have folded exactly the knowledge base's `clause` lines.
+    A snapshot must have folded the knowledge base's `clause` lines, in any
+    order; the fold does not depend on it.
     """
     if args.snapshot:
         state = consequence.read_snapshot(args.snapshot, kb.alphabet)
-        if state.processed != kb.sigma_k:
+        if set(state.processed) != set(kb.sigma_k):
             raise StaleSnapshotError(
                 f"snapshot {args.snapshot} was not compiled from the clauses of {args.kb}"
             )
@@ -103,14 +116,11 @@ def cmd_query(args) -> int:
     try:
         doc = kbfile.parse_kb_file(args.kb)
         kb, table = kbfile.build_kb(doc)
-        hypothesis = parse_formula(args.query, kb.alphabet)
+        hypothesis = _formula_step(parse_formula, args.query, kb.alphabet)
         state = _load_state(args, kb)
-        sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
+        sets = _formula_step(support.minimal_quasi_supports, kb, hypothesis, state=state)
     except _INPUT_ERRORS as err:
         return _fail(str(err), 2)
-    except RecursionError:
-        # parsing and clause conversion recurse once per nesting level
-        return _fail("formula nested too deeply", 2)
     method = _METHODS[args.method]
     try:
         if method == "oracle":

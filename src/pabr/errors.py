@@ -45,6 +45,10 @@ class StaleSnapshotError(PabrError):
     """A snapshot was compiled from other clauses than the knowledge base's."""
 
 
+class FormulaTooDeepError(PabrError):
+    """A query formula is nested deeper than the recursive parser and rewrites reach."""
+
+
 class PivotError(PabrError):
     """Resolution was requested on a symbol that is not complementary in the parents."""
 

@@ -1,10 +1,9 @@
 """Probability of assumption-term unions and degrees of support.
 
 Terms over independent assumptions have product probabilities. A union of
-terms is computed exactly by one sum of disjoint products over the terms
-taken shortest first, at every size; inclusion-exclusion stays as a
-reference, and truncated alternating sums bracket the union cheaply. The
-degree of support conditions the quasi-support probability on consistency.
+terms is computed exactly by inclusion-exclusion or by a sum of disjoint
+products, and bracketed cheaply by truncated alternating sums. The degree
+of support conditions the quasi-support probability on consistency.
 """
 
 from __future__ import annotations
@@ -28,6 +27,10 @@ INCLUSION_EXCLUSION = "inclusion_exclusion"
 DISJOINT_PRODUCTS = "disjoint_products"
 BOUNDS = "bounds"
 AUTO = "auto"
+
+# Up to this many terms auto uses inclusion-exclusion (2^r subsets); above,
+# disjoint products, which explode on unions of unrelated multi-literal terms.
+AUTO_METHOD_THRESHOLD = 20
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,11 @@ def term_prob(term: Term, table: AssumptionTable) -> float:
 
 
 def _canonical(terms: Iterable[Term]) -> list[Term]:
-    """Distinct terms, shortest first, ties broken by literal order."""
+    return sorted(set(terms), key=lambda t: t.sort_key)
+
+
+def _shortest_first(terms: Iterable[Term]) -> list[Term]:
+    """The order disjoint products take: an n-link chain needs n + 1 fragments."""
     return sorted(set(terms), key=lambda t: (len(t), t.sort_key))
 
 
@@ -175,8 +182,7 @@ def _fragments(terms: Sequence[Term]) -> list[dict[Symbol, bool]]:
     a complementary literal stay, fragments covered by the earlier term are
     dropped, and the rest are expanded along the earlier term's missing
     literals so exactly one branch negates each. Fragments come back as
-    symbol -> polarity maps; taking the terms shortest first keeps their
-    number small (a fault chain of n links needs n + 1).
+    symbol -> polarity maps.
     """
     for t in terms:
         if t.is_inconsistent:
@@ -207,10 +213,7 @@ def _fragments(terms: Sequence[Term]) -> list[dict[Symbol, bool]]:
 
 
 def disjoint_products(terms: Sequence[Term]) -> list[Term]:
-    """Pairwise disjoint terms with the union of `terms`, split in the given order.
-
-    Their probabilities can simply be added.
-    """
+    """Pairwise disjoint terms, split in the given order, whose probabilities add."""
     return [
         Term(frozenset(Literal(sym, pos) for sym, pos in frag.items()))
         for frag in _fragments(terms)
@@ -247,7 +250,7 @@ def _union_prob(terms: Sequence[Term], table: AssumptionTable, method: str) -> f
         q = table.prob
         return math.fsum(
             math.prod(q(sym) if pos else 1.0 - q(sym) for sym, pos in frag.items())
-            for frag in _fragments(terms)
+            for frag in _fragments(_shortest_first(terms))
         )
     raise ValueError(f"unknown exact method: {method!r}")
 
@@ -269,8 +272,11 @@ def evaluate(
     """
     qs_terms = _canonical(set(sets.mqs) | set(sets.mc))
     mc_terms = _canonical(sets.mc)
-    chosen = DISJOINT_PRODUCTS if method == AUTO else method
-    exact = DISJOINT_PRODUCTS if chosen == BOUNDS else chosen
+    by_size = (
+        INCLUSION_EXCLUSION if len(qs_terms) <= AUTO_METHOD_THRESHOLD else DISJOINT_PRODUCTS
+    )
+    chosen = by_size if method == AUTO else method
+    exact = by_size if chosen == BOUNDS else chosen
     bounds = None
     if chosen == BOUNDS:
         bounds = bonferroni_bounds(qs_terms, table, 1 if l is None else l)

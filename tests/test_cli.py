@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -101,7 +102,7 @@ def test_query_burglar_golden(kb_path, capsys):
         "qs_prob": 0.99,
         "contradiction_prob": 0.0,
         "support": 0.99,
-        "method": "disjoint_products",
+        "method": "inclusion_exclusion",
     }
 
 
@@ -124,9 +125,18 @@ def test_query_via_snapshot_matches_direct(kb_path, capsys):
         assert direct == snapped
 
 
-def test_query_stale_snapshot_exits_2(kb_path, capsys):
+def test_query_snapshot_must_share_the_kb_clause_set(kb_path, capsys):
     path = kb_path(helpers.BURGLAR_TEXT)
+    _, direct, _ = run(capsys, "query", path, "-q", "burglary")
     assert run(capsys, "compile", path)[0] == 0
+    lines = helpers.BURGLAR_TEXT.splitlines(keepends=True)
+    clauses = [line for line in lines if line.startswith("clause ")]
+    rest = [line for line in lines if not line.startswith("clause ")]
+    # reversed order plus a duplicate line: the same clause set, accepted
+    kb_path("".join(rest + clauses[::-1] + clauses[:1]))
+    code, snapped, err = run(capsys, "query", path, "-q", "burglary", "--snapshot", path + ".snap")
+    assert code == 0 and err == "" and snapped == direct
+    # a deleted clause line: the snapshot is stale
     kb_path(helpers.BURGLAR_TEXT.replace("clause burglary | a2 | -alarm\n", ""))
     code, out, err = run(capsys, "query", path, "-q", "burglary", "--snapshot", path + ".snap")
     assert code == 2
@@ -143,6 +153,28 @@ def test_query_formula_nested_too_deeply_exits_2(kb_path, capsys, formula):
     code, out, err = run(capsys, "query", path, "-q", formula)
     assert code == 2
     assert out == "" and err == "error: formula nested too deeply\n"
+
+
+def test_query_union_of_independent_causes_stays_small(kb_path, capsys):
+    # 14 causes of three assumptions each, over disjoint symbols: a sum of
+    # disjoint products would split the last term into 3^13 fragments
+    n = 14
+    lines = [f"assumption x{i}_{k} 0.5" for i in range(n) for k in range(3)]
+    lines.append("prop h")
+    lines += [f"clause -x{i}_0 | -x{i}_1 | -x{i}_2 | h" for i in range(n)]
+    path = kb_path("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "query", path, "-q", "h")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert len(payload["mqs"]) == n
+    assert payload["method"] == "inclusion_exclusion"
+    assert payload["support"] == pytest.approx(1 - (7 / 8) ** n, abs=1e-11)
+    assert peak < 32 * 2**20
 
 
 def test_query_oracle_method_agrees(kb_path, capsys):

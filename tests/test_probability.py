@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pabr import probability
 from pabr.errors import (
     BoundsPreconditionError,
     InconsistentTermError,
@@ -18,6 +19,7 @@ from pabr.kbfile import build_kb, parse_kb_text
 from pabr.logic import EMPTY_TERM, mu_minimize, parse_formula
 from pabr.probability import (
     AUTO,
+    AUTO_METHOD_THRESHOLD,
     BOUNDS,
     DISJOINT_PRODUCTS,
     INCLUSION_EXCLUSION,
@@ -282,7 +284,7 @@ def test_evaluate_burglar_golden(burglar):
     report = evaluate(sets, table)
     assert report.support == pytest.approx(0.99, abs=1e-12)
     assert report.contra_prob == 0.0
-    assert report.method == DISJOINT_PRODUCTS
+    assert report.method == INCLUSION_EXCLUSION
     assert report.bounds is None
 
 
@@ -349,17 +351,21 @@ def test_evaluate_bounds_method_reports_bracket_and_exact_points():
         )
 
 
-def test_evaluate_auto_is_disjoint_products_at_every_size():
-    # 20 and 21 distinct full minterms: no term count switches the method
+def test_evaluate_auto_switches_on_term_count():
+    # distinct full minterms are pairwise inconsistent, so inclusion-exclusion
+    # prunes every subset of two or more and stays cheap at the threshold
     assumptions, table = halves(5)
     minterms = [
         helpers.term(*zip(assumptions, signs))
         for signs in product((True, False), repeat=len(assumptions))
     ]
-    for count in (20, 21):
+    for count, method in (
+        (AUTO_METHOD_THRESHOLD, INCLUSION_EXCLUSION),
+        (AUTO_METHOD_THRESHOLD + 1, DISJOINT_PRODUCTS),
+    ):
         sets = SupportSets(mqs=frozenset(minterms[:count]), mc=frozenset())
         report = evaluate(sets, table)
-        assert report.method == DISJOINT_PRODUCTS
+        assert report.method == method
         assert report.qs_prob == pytest.approx(count / 32, abs=1e-12)
 
 
@@ -402,7 +408,7 @@ def test_evaluate_auto_chain_matches_closed_form():
 def test_disjoint_products_chain_shortest_first_is_linear():
     n = 12
     _, table, sets = chain_supports(n)
-    terms = sorted(sets.mqs, key=lambda t: (len(t), t.sort_key))
+    terms = probability._shortest_first(sets.mqs)
     out = disjoint_products(terms)
     assert len(out) == n + 1
     total = math.fsum(term_prob(t, table) for t in out)
@@ -419,13 +425,13 @@ property_terms = st.dictionaries(
 
 @settings(deadline=None, max_examples=200)
 @given(st.lists(property_terms, max_size=9))
-def test_auto_matches_inclusion_exclusion_on_random_unions(terms):
+def test_disjoint_products_match_inclusion_exclusion_on_random_unions(terms):
     terms = terms + terms[: len(terms) // 3]  # duplicates
     sets = SupportSets(mqs=frozenset(terms), mc=frozenset())
-    report = evaluate(sets, PROPERTY_TABLE)
+    report = evaluate(sets, PROPERTY_TABLE, method=DISJOINT_PRODUCTS)
     expected = inclusion_exclusion(terms, PROPERTY_TABLE)
     assert report.qs_prob == pytest.approx(expected, abs=1e-12)
-    fragments = disjoint_products(sorted(terms, key=lambda t: (len(t), t.sort_key)))
+    fragments = disjoint_products(probability._shortest_first(terms))
     for i, t1 in enumerate(fragments):
         for t2 in fragments[i + 1 :]:
             assert any(l.negate() in t2.literals for l in t1.literals)
