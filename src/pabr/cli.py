@@ -6,8 +6,8 @@
 
 Exit codes: 0 success (check: consistent), 1 check found contradictions,
 2 parse errors, unreadable/unwritable files, a snapshot compiled from other
-clauses, or a query formula nested too deeply, 3 total inconsistency,
-4 bounds precondition violated.
+clauses or symbol kinds, or a query formula nested too deeply, 3 total
+inconsistency, 4 bounds precondition violated.
 Query output is a single JSON object, byte-identical across runs for
 identical inputs; probabilities carry 12 significant digits.
 """
@@ -75,13 +75,21 @@ def _load_state(args, kb) -> consequence.CompiledState:
     """Snapshot if given, else a fresh fold of the stable knowledge.
 
     A snapshot must have folded the knowledge base's `clause` lines, in any
-    order; the fold does not depend on it.
+    order (the fold does not depend on it), under the same symbol kinds:
+    its carc is assumption-only and holds, for each assumption s, the seed
+    s | -s or a unit or empty clause that subsumes it.
     """
     if args.snapshot:
         state = consequence.read_snapshot(args.snapshot, kb.alphabet)
-        if set(state.processed) != set(kb.sigma_k):
+        narrow = {c.symbols() for c in state.carc if len(c.symbols()) <= 1}
+        same_kinds = all(c.is_assumption_only for c in state.carc) and (
+            frozenset() in narrow
+            or all(frozenset([s]) in narrow for s in kb.alphabet.assumptions)
+        )
+        if not same_kinds or set(state.processed) != set(kb.sigma_k):
             raise StaleSnapshotError(
-                f"snapshot {args.snapshot} was not compiled from the clauses of {args.kb}"
+                f"snapshot {args.snapshot} was not compiled from the clauses "
+                f"and symbol kinds of {args.kb}"
             )
     else:
         state = consequence.compile_clauses(kb.alphabet, kb.sigma_k)

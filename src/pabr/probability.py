@@ -1,14 +1,16 @@
 """Probability of assumption-term unions and degrees of support.
 
 Terms over independent assumptions have product probabilities. A union of
-terms is computed exactly by inclusion-exclusion or by a sum of disjoint
-products, and bracketed cheaply by truncated alternating sums. The degree
-of support conditions the quasi-support probability on consistency.
+terms is computed exactly by memoized Shannon expansion (an ordered BDD of
+the union, Bryant 1986), inclusion-exclusion or a sum of disjoint products,
+and bracketed cheaply by truncated alternating sums. The degree of support
+conditions the quasi-support probability on consistency.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -25,12 +27,9 @@ if TYPE_CHECKING:
 
 INCLUSION_EXCLUSION = "inclusion_exclusion"
 DISJOINT_PRODUCTS = "disjoint_products"
+SHANNON_EXPANSION = "shannon_expansion"
 BOUNDS = "bounds"
 AUTO = "auto"
-
-# Up to this many terms auto uses inclusion-exclusion (2^r subsets); above,
-# disjoint products, which explode on unions of unrelated multi-literal terms.
-AUTO_METHOD_THRESHOLD = 20
 
 
 @dataclass(frozen=True)
@@ -175,21 +174,21 @@ def _is_disjoint(frag: dict, term_lits: Sequence[tuple[Symbol, bool]]) -> bool:
     return any(frag.get(sym) == (not positive) for sym, positive in term_lits)
 
 
-def _fragments(terms: Sequence[Term]) -> list[dict[Symbol, bool]]:
-    """Split a term list into pairwise disjoint fragments with the same union.
+def disjoint_products(terms: Sequence[Term]) -> list[Term]:
+    """Rewrite a term list into pairwise disjoint fragments with the same union.
 
     Each term is split against every earlier one: fragments already carrying
     a complementary literal stay, fragments covered by the earlier term are
     dropped, and the rest are expanded along the earlier term's missing
-    literals so exactly one branch negates each. Fragments come back as
-    symbol -> polarity maps.
+    literals so exactly one branch negates each. Fragment probabilities can
+    then simply be added.
     """
     for t in terms:
         if t.is_inconsistent:
             raise InconsistentTermError(f"inconsistent input term: {t}")
         _check_assumption_term(t)
     term_lits = [[(l.symbol, l.positive) for l in t.sorted_literals] for t in terms]
-    out: list[dict[Symbol, bool]] = []
+    out: list[Term] = []
     for j in range(len(terms)):
         frags: list[dict] = [dict(term_lits[j])]
         for i in range(j):
@@ -208,16 +207,41 @@ def _fragments(terms: Sequence[Term]) -> list[dict[Symbol, bool]]:
                     nxt.append(branch)
                     prefix.append((sym, positive))
             frags = nxt
-        out.extend(frags)
+        out.extend(Term(frozenset(Literal(s, pos) for s, pos in frag.items())) for frag in frags)
     return out
 
 
-def disjoint_products(terms: Sequence[Term]) -> list[Term]:
-    """Pairwise disjoint terms, split in the given order, whose probabilities add."""
-    return [
-        Term(frozenset(Literal(sym, pos) for sym, pos in frag.items()))
-        for frag in _fragments(terms)
-    ]
+def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
+    """Exact union probability by Shannon expansion, memoized on residual term sets.
+
+    Each node splits on the symbol occurring in the most terms, lowest index
+    first: P = q * P(terms with it true) + (1 - q) * P(terms with it false).
+    An explicit stack replaces recursion, since a node's depth can reach the
+    number of symbols. Inconsistent terms count 0.
+    """
+    for t in terms:
+        _check_assumption_term(t)
+    root = frozenset(t.literals for t in terms if not t.is_inconsistent)
+    memo: dict[frozenset, float] = {}
+    stack: list[tuple[frozenset, tuple | None]] = [(root, None)]
+    while stack:
+        node, split = stack.pop()
+        if split:
+            q, yes, no = split
+            memo[node] = q * memo[yes] + (1.0 - q) * memo[no]
+        elif node in memo:
+            continue
+        elif len(node) <= 1 or frozenset() in node:
+            # impossible, certain (an empty term) or a single term's product
+            memo[node] = math.prod(map(table.literal_prob, min(node, key=len))) if node else 0.0
+        else:
+            counts = Counter(l.symbol for t in node for l in t)
+            sym = min(counts, key=lambda s: (-counts[s], s.index))
+            pos, neg = Literal(sym, True), Literal(sym, False)
+            yes = frozenset(t - {pos} if pos in t else t for t in node if neg not in t)
+            no = frozenset(t - {neg} if neg in t else t for t in node if pos not in t)
+            stack += ((node, (table.prob(sym), yes, no)), (yes, None), (no, None))
+    return memo[root]
 
 
 def degree_of_support(qs_prob: float, contra_prob: float) -> float:
@@ -244,14 +268,12 @@ class SupportReport:
 
 
 def _union_prob(terms: Sequence[Term], table: AssumptionTable, method: str) -> float:
+    if method == SHANNON_EXPANSION:
+        return _shannon_expansion(terms, table)
     if method == INCLUSION_EXCLUSION:
         return inclusion_exclusion(terms, table)
     if method == DISJOINT_PRODUCTS:
-        q = table.prob
-        return math.fsum(
-            math.prod(q(sym) if pos else 1.0 - q(sym) for sym, pos in frag.items())
-            for frag in _fragments(_shortest_first(terms))
-        )
+        return math.fsum(term_prob(t, table) for t in disjoint_products(_shortest_first(terms)))
     raise ValueError(f"unknown exact method: {method!r}")
 
 
@@ -272,11 +294,8 @@ def evaluate(
     """
     qs_terms = _canonical(set(sets.mqs) | set(sets.mc))
     mc_terms = _canonical(sets.mc)
-    by_size = (
-        INCLUSION_EXCLUSION if len(qs_terms) <= AUTO_METHOD_THRESHOLD else DISJOINT_PRODUCTS
-    )
-    chosen = by_size if method == AUTO else method
-    exact = by_size if chosen == BOUNDS else chosen
+    chosen = SHANNON_EXPANSION if method == AUTO else method
+    exact = SHANNON_EXPANSION if chosen == BOUNDS else chosen
     bounds = None
     if chosen == BOUNDS:
         bounds = bonferroni_bounds(qs_terms, table, 1 if l is None else l)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import pathlib
 import tracemalloc
 
 import pytest
@@ -10,6 +11,8 @@ from pabr.consequence import read_snapshot
 from pabr.kbfile import build_kb, parse_kb_text
 
 import helpers
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 THREE_SUPPORTERS = """\
 assumption a1 0.5
@@ -102,8 +105,18 @@ def test_query_burglar_golden(kb_path, capsys):
         "qs_prob": 0.99,
         "contradiction_prob": 0.0,
         "support": 0.99,
-        "method": "inclusion_exclusion",
+        "method": "shannon_expansion",
     }
+
+
+def test_query_readme_burglar_example_prints_the_documented_line(kb_path, capsys):
+    readme = README.read_text()
+    kb_text = readme.split("A knowledge base file (`alarm.pabr`):\n\n```\n", 1)[1]
+    path = kb_path(kb_text.split("```", 1)[0], name="alarm.pabr")
+    documented = readme.split("$ pabr query alarm.pabr -q burglary\n", 1)[1].splitlines()[0]
+    code, out, err = run(capsys, "query", path, "-q", "burglary")
+    assert code == 0 and err == ""
+    assert out == documented + "\n"
 
 
 def test_query_output_is_byte_stable(kb_path, capsys):
@@ -141,6 +154,17 @@ def test_query_snapshot_must_share_the_kb_clause_set(kb_path, capsys):
     code, out, err = run(capsys, "query", path, "-q", "burglary", "--snapshot", path + ".snap")
     assert code == 2
     assert out == "" and err.startswith("error:") and "kb.pabr.snap" in err
+    # the same clause line under flipped symbol kinds: prop b redeclared as
+    # an assumption (the stale snapshot answered 0.5 where the KB gives
+    # 0.333333333333), and assumption b redeclared as a prop
+    b_decl = {"prop": "prop b\n", "assumption": "assumption b 0.5\n"}
+    for compiled, queried in (("prop", "assumption"), ("assumption", "prop")):
+        path = kb_path("assumption a1 0.5\n" + b_decl[compiled] + "clause -b | -a1\n")
+        assert run(capsys, "compile", path)[0] == 0
+        kb_path("assumption a1 0.5\n" + b_decl[queried] + "clause -b | -a1\n")
+        code, out, err = run(capsys, "query", path, "-q", "a1", "--snapshot", path + ".snap")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "kb.pabr.snap" in err
 
 
 @pytest.mark.parametrize(
@@ -155,10 +179,11 @@ def test_query_formula_nested_too_deeply_exits_2(kb_path, capsys, formula):
     assert out == "" and err == "error: formula nested too deeply\n"
 
 
-def test_query_union_of_independent_causes_stays_small(kb_path, capsys):
-    # 14 causes of three assumptions each, over disjoint symbols: a sum of
-    # disjoint products would split the last term into 3^13 fragments
-    n = 14
+@pytest.mark.parametrize("n", [14, 24])
+def test_query_union_of_independent_causes_stays_small(kb_path, capsys, n):
+    # n causes of three assumptions each, over disjoint symbols: a sum of
+    # disjoint products would split the last term into 3^(n-1) fragments,
+    # and inclusion-exclusion walks 2^n subsets
     lines = [f"assumption x{i}_{k} 0.5" for i in range(n) for k in range(3)]
     lines.append("prop h")
     lines += [f"clause -x{i}_0 | -x{i}_1 | -x{i}_2 | h" for i in range(n)]
@@ -172,7 +197,7 @@ def test_query_union_of_independent_causes_stays_small(kb_path, capsys):
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert len(payload["mqs"]) == n
-    assert payload["method"] == "inclusion_exclusion"
+    assert payload["method"] == "shannon_expansion"
     assert payload["support"] == pytest.approx(1 - (7 / 8) ** n, abs=1e-11)
     assert peak < 32 * 2**20
 

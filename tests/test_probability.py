@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -19,10 +20,10 @@ from pabr.kbfile import build_kb, parse_kb_text
 from pabr.logic import EMPTY_TERM, mu_minimize, parse_formula
 from pabr.probability import (
     AUTO,
-    AUTO_METHOD_THRESHOLD,
     BOUNDS,
     DISJOINT_PRODUCTS,
     INCLUSION_EXCLUSION,
+    SHANNON_EXPANSION,
     AssumptionTable,
     bonferroni_bounds,
     degree_of_support,
@@ -284,7 +285,7 @@ def test_evaluate_burglar_golden(burglar):
     report = evaluate(sets, table)
     assert report.support == pytest.approx(0.99, abs=1e-12)
     assert report.contra_prob == 0.0
-    assert report.method == INCLUSION_EXCLUSION
+    assert report.method == SHANNON_EXPANSION
     assert report.bounds is None
 
 
@@ -352,20 +353,17 @@ def test_evaluate_bounds_method_reports_bracket_and_exact_points():
 
 
 def test_evaluate_auto_switches_on_term_count():
-    # distinct full minterms are pairwise inconsistent, so inclusion-exclusion
-    # prunes every subset of two or more and stays cheap at the threshold
+    # 20 and 21 pairwise inconsistent terms: auto runs one routine at every
+    # union size
     assumptions, table = halves(5)
     minterms = [
         helpers.term(*zip(assumptions, signs))
         for signs in product((True, False), repeat=len(assumptions))
     ]
-    for count, method in (
-        (AUTO_METHOD_THRESHOLD, INCLUSION_EXCLUSION),
-        (AUTO_METHOD_THRESHOLD + 1, DISJOINT_PRODUCTS),
-    ):
+    for count in (20, 21):
         sets = SupportSets(mqs=frozenset(minterms[:count]), mc=frozenset())
         report = evaluate(sets, table)
-        assert report.method == method
+        assert report.method == SHANNON_EXPANSION
         assert report.qs_prob == pytest.approx(count / 32, abs=1e-12)
 
 
@@ -401,7 +399,7 @@ def test_evaluate_auto_chain_matches_closed_form():
         qb = table.prob(kb.alphabet.lookup(f"b{i}"))
         expected = qb + (1.0 - qb) * qa * expected
     report = evaluate(sets, table)
-    assert report.method == DISJOINT_PRODUCTS
+    assert report.method == SHANNON_EXPANSION
     assert report.qs_prob == pytest.approx(expected, abs=1e-12)
 
 
@@ -431,12 +429,30 @@ def test_disjoint_products_match_inclusion_exclusion_on_random_unions(terms):
     report = evaluate(sets, PROPERTY_TABLE, method=DISJOINT_PRODUCTS)
     expected = inclusion_exclusion(terms, PROPERTY_TABLE)
     assert report.qs_prob == pytest.approx(expected, abs=1e-12)
+    auto = evaluate(sets, PROPERTY_TABLE)
+    assert auto.qs_prob == pytest.approx(expected, abs=1e-12)
     fragments = disjoint_products(probability._shortest_first(terms))
     for i, t1 in enumerate(fragments):
         for t2 in fragments[i + 1 :]:
             assert any(l.negate() in t2.literals for l in t1.literals)
     total = math.fsum(term_prob(t, PROPERTY_TABLE) for t in fragments)
     assert total == pytest.approx(expected, abs=1e-12)
+
+
+def test_evaluate_auto_expands_unions_deeper_than_the_recursion_limit():
+    # every split of the first term keeps the second one beside it, so the
+    # expansion runs one level per literal of the first term
+    depth = sys.getrecursionlimit() + 100
+    _, assumptions, _ = helpers.make_alphabet(2 * depth, 0)
+    table = table_over(assumptions, [0.999] * len(assumptions))
+    terms = [
+        helpers.term(*((a, True) for a in assumptions[:depth])),
+        helpers.term(*((a, True) for a in assumptions[depth:])),
+    ]
+    report = evaluate(SupportSets(mqs=frozenset(terms), mc=frozenset()), table)
+    expected = 1.0 - (1.0 - 0.999**depth) ** 2
+    assert report.method == SHANNON_EXPANSION
+    assert report.qs_prob == pytest.approx(expected, abs=1e-12)
 
 
 def test_evaluate_explicit_methods_agree():
