@@ -4,10 +4,11 @@
     pabr query   <kb> -q "<formula>" [--method M] [--l N] [--snapshot SNAP]
     pabr check   <kb>
 
-Exit codes: 0 success (check: consistent), 1 check found contradictions,
-2 parse errors, unreadable/unwritable files, a snapshot compiled from other
-clauses or symbol kinds, or a query formula nested too deeply, 3 total
-inconsistency, 4 bounds precondition violated.
+Exit codes: 0 success (check: consistent), 1 check found contradictions or
+an enumeration limit or work budget was hit, 2 parse errors,
+unreadable/unwritable files, a snapshot compiled from other clauses or
+symbol kinds, or a query formula nested too deeply, 3 total inconsistency,
+4 bounds precondition violated.
 Query output is a single JSON object, byte-identical across runs for
 identical inputs; probabilities carry 12 significant digits.
 """

@@ -8,11 +8,19 @@ A state folds each input clause once: into the prime implicates when it
 tracks them, reading the assumption-only set off them (the field is
 subsumption-stable, so its minimal implicates are exactly the prime
 implicates inside it), and into the assumption-only set directly otherwise.
+
+Each fold is one given-clause saturation (`produce`) run on clause
+bitmasks: a first-in first-out agenda of derived clauses, forward
+subsumption of every resolvent by the kept and pending clauses, and
+backward subsumption, which drops the kept clauses a newly kept one
+subsumes, so kept clauses are never resolved against stale ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass, field as dataclass_field, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ParseError, UndeclaredSymbolError
@@ -21,10 +29,14 @@ from .logic import (
     Clause,
     EMPTY_CLAUSE,
     Literal,
+    bits,
+    even_bits,
+    is_tautology,
     mu_minimize,
     parse_clause_body,
     resolve_clause,
-    resolvents,
+    resolvent_mask,
+    swap,
 )
 
 ASSUMPTION_ONLY = "assumption_only"
@@ -33,14 +45,23 @@ ALL_CLAUSES = "all_clauses"
 
 @dataclass(frozen=True)
 class ProductionField:
-    """A subsumption-stable clause language over one alphabet."""
+    """A subsumption-stable clause language over one alphabet.
+
+    `outside` holds the bits no member may carry: the complement of the
+    assumption literals' bits, or nothing for the unrestricted field.
+    """
 
     kind: str
     alphabet: Alphabet
+    outside: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (ASSUMPTION_ONLY, ALL_CLAUSES):
             raise ValueError(f"unknown field kind: {self.kind!r}")
+        outside = 0
+        if self.kind == ASSUMPTION_ONLY:
+            outside = ~sum(c.mask for c in self.seed_clauses())
+        object.__setattr__(self, "outside", outside)
 
     @classmethod
     def assumption_only(cls, alphabet: Alphabet) -> ProductionField:
@@ -51,9 +72,7 @@ class ProductionField:
         return cls(ALL_CLAUSES, alphabet)
 
     def contains(self, clause: Clause) -> bool:
-        if self.kind == ALL_CLAUSES:
-            return True
-        return clause.is_assumption_only
+        return not clause.mask & self.outside
 
     def seed_clauses(self) -> frozenset[Clause]:
         """Tautologies inside the field: the minimal implicates of nothing."""
@@ -69,33 +88,48 @@ class ProductionField:
 def produce(sigma: Sequence[Clause], clause: Clause, field: ProductionField) -> frozenset[Clause]:
     """Field members of the resolution closure seeded at `clause`.
 
-    Saturates the set reachable from `clause` against the side clauses
-    `sigma` and everything already derived (so ancestor steps are covered),
-    drops tautologies, and prunes resolvents subsumed by a derived clause.
-    The result is mu-minimized. Together with the previous minimal field
-    implicates of `sigma` it yields, after one more mu pass, the minimal
-    field implicates of sigma plus `clause`.
+    A given-clause loop on bitmasks: each clause popped from the agenda is
+    dropped when a kept clause subsumes it; otherwise it is kept, the kept
+    clauses it subsumes are dropped, and its resolvents with the side
+    clauses `sigma` and with every kept clause (so ancestor steps are
+    covered) join the agenda unless a kept or pending clause subsumes
+    them. Tautologies never enter. The kept clauses stay pairwise
+    incomparable, so the field members among them are mu-minimal. Together
+    with the previous minimal field implicates of `sigma` they yield, after
+    one more mu pass, the minimal field implicates of sigma plus `clause`.
     """
-    if clause.is_tautology:
+    even = even_bits(len(field.alphabet))
+    if is_tautology(clause.mask, even):
         return frozenset()
-    sides = [s for s in dict.fromkeys(sigma) if not s.is_tautology]
-    kept: list[Clause] = []
-    agenda: list[Clause] = [clause]
+    sides = [m for m in dict.fromkeys(c.mask for c in sigma) if not is_tautology(m, even)]
+    kept: list[int] = []
+    agenda = deque([clause.mask])
     while agenda:
-        given = agenda.pop(0)
-        if any(k.literals <= given.literals for k in kept):
+        given = agenda.popleft()
+        if any(k & given == k for k in kept):
             continue
+        kept = [k for k in kept if k & given != given]
         kept.append(given)
-        for partner in sides + kept:
-            for r in resolvents(given, partner):
-                if r.is_tautology:
-                    continue
-                if any(k.literals <= r.literals for k in kept):
-                    continue
-                if any(a.literals <= r.literals for a in agenda):
-                    continue
-                agenda.append(r)
-    return mu_minimize(c for c in kept if field.contains(c))
+        complement = swap(given, even)
+        for partner in chain(sides, kept):
+            pivot = complement & partner
+            # two or more clashing symbols leave only tautologies
+            if not pivot or pivot & (pivot - 1):
+                continue
+            r = resolvent_mask(given, partner, pivot, even)
+            if any(k & r == k for k in kept) or any(a & r == a for a in agenda):
+                continue
+            agenda.append(r)
+    literal_of = {
+        lit.bit: lit
+        for s in field.alphabet.symbols
+        for lit in (Literal(s, True), Literal(s, False))
+    }
+    return frozenset(
+        Clause(frozenset(literal_of[b] for b in bits(m)))
+        for m in kept
+        if not m & field.outside
+    )
 
 
 @dataclass(frozen=True)

@@ -70,4 +70,9 @@ class BoundsPreconditionError(PabrError):
 
 
 class EnumerationLimitError(PabrError):
-    """The alphabet is too large for exhaustive model enumeration."""
+    """An exhaustive enumeration would exceed its fixed limit.
+
+    Raised for an alphabet too large for model enumeration, and for a union
+    whose inclusion-exclusion subsets or disjoint-product fragments exceed
+    the probability module's work budget.
+    """

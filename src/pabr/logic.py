@@ -6,12 +6,14 @@ Clauses (disjunctions) and terms (conjunctions) are literal sets with
 set semantics, so duplicate literals collapse and order is irrelevant
 for equality. Every ordered view sorts literals by declaration index,
 positive before negative, which keeps all downstream output deterministic.
+Each literal set also carries a bitmask (bit 2i for symbol i, bit 2i+1 for
+its negation), on which subsumption and resolution are integer operations.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PivotError, UndeclaredSymbolError
@@ -97,6 +99,11 @@ class Literal:
     def sort_key(self) -> tuple[int, int]:
         return (self.symbol.index, 0 if self.positive else 1)
 
+    @property
+    def bit(self) -> int:
+        """This literal's mask bit; ascending bits follow `sort_key`."""
+        return 1 << (2 * self.symbol.index + (not self.positive))
+
     def __str__(self):
         return self.symbol.name if self.positive else "-" + self.symbol.name
 
@@ -110,17 +117,18 @@ def _sorted_literals(literals: Iterable[Literal]) -> tuple[Literal, ...]:
 
 @dataclass(frozen=True)
 class _LiteralSet:
-    """Common behaviour of clauses and terms: a frozenset of literals."""
+    """Common behaviour of clauses and terms: a frozenset of literals.
+
+    `mask` is the OR of the literals' bits, fixed at construction; equality
+    and hashing stay on `literals`.
+    """
 
     literals: frozenset[Literal]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ordered = _sorted_literals(self.literals)
-        object.__setattr__(self, "_ordered", ordered)
-        pos = frozenset(l.symbol for l in ordered if l.positive)
-        neg = frozenset(l.symbol for l in ordered if not l.positive)
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_neg", neg)
+        object.__setattr__(self, "_ordered", _sorted_literals(self.literals))
+        object.__setattr__(self, "mask", sum(l.bit for l in self.literals))
 
     @classmethod
     def of(cls, *literals: Literal):
@@ -131,37 +139,29 @@ class _LiteralSet:
         return self._ordered  # type: ignore[attr-defined]
 
     @property
-    def positive_symbols(self) -> frozenset[Symbol]:
-        return self._pos  # type: ignore[attr-defined]
-
-    @property
-    def negative_symbols(self) -> frozenset[Symbol]:
-        return self._neg  # type: ignore[attr-defined]
-
-    @property
     def is_empty(self) -> bool:
         return not self.literals
 
     @property
     def has_complementary_pair(self) -> bool:
-        return bool(self.positive_symbols & self.negative_symbols)
+        return is_tautology(self.mask, even_bits_of(self.mask))
 
     @property
     def is_assumption_only(self) -> bool:
         return all(l.symbol.kind == ASSUMPTION for l in self.literals)
 
     def subsumes(self, other) -> bool:
-        """True when this element is a superset of `other` (same kind only)."""
+        """True when this element is a superset of `other` (same kind and alphabet only)."""
         if type(self) is not type(other):
             raise TypeError(f"cannot compare {type(self).__name__} with {type(other).__name__}")
-        return self.literals >= other.literals
+        return other.mask & self.mask == other.mask
 
     @property
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(l.sort_key for l in self.sorted_literals)
 
     def symbols(self) -> frozenset[Symbol]:
-        return self.positive_symbols | self.negative_symbols
+        return frozenset(l.symbol for l in self.literals)
 
     def __len__(self):
         return len(self.literals)
@@ -217,40 +217,80 @@ def mu_minimize(items: Iterable) -> frozenset:
     """Keep exactly the elements that strictly subsume no other element.
 
     Duplicates collapse by set semantics. Works on clauses and on terms;
-    callers keep the input homogeneous.
+    callers keep the input homogeneous and over one alphabet.
     """
     pool = list(dict.fromkeys(items))
-    keep = []
-    for x in pool:
-        redundant = any(
-            x.literals > y.literals for y in pool if y is not x
-        )
-        if not redundant:
-            keep.append(x)
-    return frozenset(keep)
+    masks = [x.mask for x in pool]
+    return frozenset(
+        x for x, m in zip(pool, masks) if not any(n & m == n != m for n in masks)
+    )
+
+
+# --- bitmask kernel -----------------------------------------------------------
+#
+# `even` is the positive-literal bit of every symbol the masks can reach,
+# 0b0101...01; callers that know their alphabet compute it once.
+
+
+def even_bits(n_symbols: int) -> int:
+    """The positive-literal bits of symbols 0 .. n_symbols - 1."""
+    return ((1 << 2 * n_symbols) - 1) // 3
+
+
+def even_bits_of(*masks: int) -> int:
+    """`even_bits` wide enough for the given masks."""
+    return even_bits((max(masks).bit_length() + 1) // 2)
+
+
+def swap(mask: int, even: int) -> int:
+    """Exchange each symbol's two bits: the literal-wise complement of `mask`."""
+    return ((mask & even) << 1) | ((mask >> 1) & even)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask` as powers of two, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def is_tautology(mask: int, even: int) -> bool:
+    """True when some symbol has both of its bits set."""
+    return bool(mask & (mask >> 1) & even)
+
+
+def resolvent_mask(a: int, b: int, bit: int, even: int) -> int:
+    """Resolvent of masks `a` and `b` on the pivot whose literal in `b` is `bit`.
+
+    `bit` must be one bit of `swap(a, even) & b`. For non-tautological
+    parents this is `(a | b)` without the pivot's two bits.
+    """
+    return (a & ~swap(bit, even)) | (b & ~bit)
 
 
 def resolve(c1: Clause, c2: Clause, pivot: Symbol) -> Clause:
     """Resolvent of two clauses on `pivot`.
 
-    The pivot must occur with opposite polarity in the parents. The result
-    may be tautological; detecting that is the caller's job.
+    The pivot must occur with opposite polarity in the parents; when it
+    does so both ways (tautological parents), `c1`'s positive literal is
+    resolved upon. The result may be tautological; detecting that is the
+    caller's job.
     """
-    pos = Literal(pivot, True)
-    neg = Literal(pivot, False)
-    if pos in c1.literals and neg in c2.literals:
-        return Clause((c1.literals - {pos}) | (c2.literals - {neg}))
-    if neg in c1.literals and pos in c2.literals:
-        return Clause((c1.literals - {neg}) | (c2.literals - {pos}))
-    raise PivotError(f"pivot {pivot.name} is not complementary in the parents")
+    even = even_bits_of(c1.mask, c2.mask)
+    negative = Literal(pivot, False).bit
+    clash = swap(c1.mask, even) & c2.mask & (Literal(pivot, True).bit | negative)
+    if not clash:
+        raise PivotError(f"pivot {pivot.name} is not complementary in the parents")
+    r = resolvent_mask(c1.mask, c2.mask, clash & negative or clash, even)
+    return Clause(frozenset(l for l in c1.literals | c2.literals if l.bit & r))
 
 
 def resolvents(c1: Clause, c2: Clause) -> Iterator[Clause]:
     """All resolvents of two clauses, one per complementary symbol, in index order."""
-    pivots = (c1.positive_symbols & c2.negative_symbols) | (
-        c1.negative_symbols & c2.positive_symbols
-    )
-    for pivot in sorted(pivots, key=lambda s: s.index):
+    clash = swap(c1.mask, even_bits_of(c1.mask, c2.mask)) & c2.mask
+    pivots = {l.symbol.index: l.symbol for l in c2.sorted_literals if l.bit & clash}
+    for pivot in pivots.values():
         yield resolve(c1, c2, pivot)
 
 

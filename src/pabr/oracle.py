@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import EnumerationLimitError, TotalInconsistencyError
 from .logic import Clause, Formula, Symbol, Term, clause_value, formula_value
@@ -34,6 +35,16 @@ class HintModel:
     omega: frozenset[Configuration]
 
 
+def _projection(indices: Sequence[int]) -> Callable[[tuple[int, ...]], Configuration]:
+    """`bits -> tuple(bits[i] for i in indices)`, built once for every interpretation."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda bits: (bits[i],)
+    if not indices:
+        return lambda bits: ()
+    return itemgetter(*indices)
+
+
 def build_hint(
     kb: KnowledgeBase,
     table: AssumptionTable | None = None,
@@ -52,7 +63,7 @@ def build_hint(
             f"{len(symbols)} symbols exceed the enumeration limit of {limit}"
         )
     assumption_syms = table.symbols
-    assumption_indices = [s.index for s in assumption_syms]
+    project = _projection([s.index for s in assumption_syms])
     clauses = kb.clauses
 
     gamma: dict[Configuration, list[tuple[int, ...]]] = {}
@@ -60,8 +71,7 @@ def build_hint(
         gamma[config] = []
     for bits in product((0, 1), repeat=len(symbols)):
         if all(clause_value(c, bits) for c in clauses):
-            config = tuple(bits[i] for i in assumption_indices)
-            gamma[config].append(bits)
+            gamma[project(bits)].append(bits)
 
     prior: dict[Configuration, float] = {}
     for config in gamma:

@@ -187,6 +187,51 @@ def term_units(t):
     return [Clause.of(lit) for lit in t.sorted_literals]
 
 
+# --- reference consequence finding ---------------------------------------------
+
+
+def _tautological(literals):
+    return any(lit.negate() in literals for lit in literals)
+
+
+def reference_produce(sigma, clause, field):
+    """`consequence.produce` as a frozenset saturation loop, for comparison.
+
+    List agenda, forward subsumption against the kept and pending clauses,
+    no backward subsumption; resolution, tautology tests, field membership
+    and minimization all on literal sets.
+    """
+    from pabr.consequence import ALL_CLAUSES
+
+    if _tautological(clause.literals):
+        return frozenset()
+    sides = [s.literals for s in dict.fromkeys(sigma) if not _tautological(s.literals)]
+    kept = []
+    agenda = [clause.literals]
+    while agenda:
+        given = agenda.pop(0)
+        if any(k <= given for k in kept):
+            continue
+        kept.append(given)
+        for partner in sides + kept:
+            for lit in given:
+                if lit.negate() not in partner:
+                    continue
+                r = (given - {lit}) | (partner - {lit.negate()})
+                if _tautological(r):
+                    continue
+                if any(k <= r for k in kept):
+                    continue
+                if any(a <= r for a in agenda):
+                    continue
+                agenda.append(r)
+    inside = [
+        k for k in kept
+        if field.kind == ALL_CLAUSES or all(l.symbol.kind == ASSUMPTION for l in k)
+    ]
+    return frozenset(Clause(k) for k in inside if not any(j < k for j in inside))
+
+
 # --- random instances ---------------------------------------------------------
 
 

@@ -179,27 +179,35 @@ def test_query_formula_nested_too_deeply_exits_2(kb_path, capsys, formula):
     assert out == "" and err == "error: formula nested too deeply\n"
 
 
-@pytest.mark.parametrize("n", [14, 24])
-def test_query_union_of_independent_causes_stays_small(kb_path, capsys, n):
+@pytest.mark.parametrize(
+    "n, method",
+    [(14, "auto"), (24, "auto"), (24, "sdp"), (30, "incexc")],
+    ids=["14", "24", "24-sdp", "30-incexc"],
+)
+def test_query_union_of_independent_causes_stays_small(kb_path, capsys, n, method):
     # n causes of three assumptions each, over disjoint symbols: a sum of
     # disjoint products would split the last term into 3^(n-1) fragments,
-    # and inclusion-exclusion walks 2^n subsets
+    # and inclusion-exclusion walks 2^n subsets, so those two methods stop
+    # at their work budget
     lines = [f"assumption x{i}_{k} 0.5" for i in range(n) for k in range(3)]
     lines.append("prop h")
     lines += [f"clause -x{i}_0 | -x{i}_1 | -x{i}_2 | h" for i in range(n)]
     path = kb_path("\n".join(lines) + "\n")
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "query", path, "-q", "h")
+        code, out, err = run(capsys, "query", path, "-q", "h", "--method", method)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 32 * 2**20
+    if method != "auto":
+        assert code == 1 and out == "" and err.startswith("error:")
+        return
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert len(payload["mqs"]) == n
     assert payload["method"] == "shannon_expansion"
     assert payload["support"] == pytest.approx(1 - (7 / 8) ** n, abs=1e-11)
-    assert peak < 32 * 2**20
 
 
 def test_query_oracle_method_agrees(kb_path, capsys):

@@ -119,6 +119,44 @@ def test_produce_contract_against_enumeration():
         assert merged == expected_carc(clauses, alphabet)
 
 
+def _messy_clauses(rng, symbols, count):
+    """Width-2/3 clauses with tautologies, duplicates and the empty clause mixed in."""
+    out = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.1 and out:
+            out.append(rng.choice(out))
+        elif roll < 0.2:
+            s, t = rng.choice(symbols), rng.choice(symbols)
+            third = Literal(t, rng.random() < 0.5)
+            out.append(Clause.of(Literal(s, True), Literal(s, False), third))
+        elif roll < 0.25:
+            out.append(EMPTY_CLAUSE)
+        else:
+            chosen = rng.sample(symbols, rng.randint(2, min(3, len(symbols))))
+            out.append(Clause(frozenset(Literal(s, rng.random() < 0.5) for s in chosen)))
+    return out
+
+
+def test_produce_matches_the_frozenset_reference(monkeypatch):
+    rng = random.Random(5150)
+    cases = []
+    for _ in range(80):
+        alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
+        clauses = _messy_clauses(rng, list(alphabet.symbols), rng.randint(1, 8))
+        sigma, last = clauses[:-1], clauses[-1]
+        for field in (
+            ProductionField.assumption_only(alphabet),
+            ProductionField.all_clauses(alphabet),
+        ):
+            assert produce(sigma, last, field) == helpers.reference_produce(sigma, last, field)
+        cases.append((alphabet, clauses, compile_clauses(alphabet, clauses, with_pi=True)))
+    # the same folds with the reference in place of the kernel
+    monkeypatch.setattr("pabr.consequence.produce", helpers.reference_produce)
+    for alphabet, clauses, state in cases:
+        assert compile_clauses(alphabet, clauses, with_pi=True) == state
+
+
 # --- incremental characteristic clauses -------------------------------------------
 
 
