@@ -11,7 +11,6 @@ from .consequence import (
     ASSUMPTION_ONLY,
     CompiledState,
     ProductionField,
-    carc_add,
     compile_clauses,
     extend,
     parse_snapshot,
@@ -56,7 +55,6 @@ from .logic import (
     parse_formula,
     resolve,
     resolvents,
-    term_value,
     to_cnf,
 )
 from .oracle import (

@@ -4,16 +4,18 @@ The central object is the set of minimal implicates of a clause set that
 fall inside a production field (a subsumption-stable clause language).
 Two fields matter here: clauses over assumption symbols only, and the
 unrestricted field whose minimal implicates are the prime implicates.
-A state folds each input clause once: into the prime implicates when it
-tracks them, reading the assumption-only set off them (the field is
-subsumption-stable, so its minimal implicates are exactly the prime
-implicates inside it), and into the assumption-only set directly otherwise.
+`extend` folds knowledge, facts and a query's negated hypothesis alike:
+into the prime implicates when the state tracks them, reading the
+assumption-only set off them (the field is subsumption-stable, so its
+minimal implicates are the prime implicates inside it), and into the
+assumption-only set directly otherwise.
 
 Each fold is one given-clause saturation (`produce`) run on clause
 bitmasks: a first-in first-out agenda of derived clauses, forward
 subsumption of every resolvent by the kept and pending clauses, and
 backward subsumption, which drops the kept clauses a newly kept one
-subsumes, so kept clauses are never resolved against stale ones.
+subsumes, so kept clauses are never resolved against stale ones. Its
+result is an antichain, merged into the old one by `_union`.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from .logic import (
     Clause,
     EMPTY_CLAUSE,
     Literal,
-    bits,
     even_bits,
     is_tautology,
-    mu_minimize,
     parse_clause_body,
     resolve_clause,
     resolvent_mask,
@@ -94,9 +94,9 @@ def produce(sigma: Sequence[Clause], clause: Clause, field: ProductionField) -> 
     clauses `sigma` and with every kept clause (so ancestor steps are
     covered) join the agenda unless a kept or pending clause subsumes
     them. Tautologies never enter. The kept clauses stay pairwise
-    incomparable, so the field members among them are mu-minimal. Together
-    with the previous minimal field implicates of `sigma` they yield, after
-    one more mu pass, the minimal field implicates of sigma plus `clause`.
+    incomparable, so the field members among them are mu-minimal. Merged
+    with the previous minimal field implicates of `sigma` by `_union` they
+    yield the minimal field implicates of sigma plus `clause`.
     """
     even = even_bits(len(field.alphabet))
     if is_tautology(clause.mask, even):
@@ -120,16 +120,7 @@ def produce(sigma: Sequence[Clause], clause: Clause, field: ProductionField) -> 
             if any(k & r == k for k in kept) or any(a & r == a for a in agenda):
                 continue
             agenda.append(r)
-    literal_of = {
-        lit.bit: lit
-        for s in field.alphabet.symbols
-        for lit in (Literal(s, True), Literal(s, False))
-    }
-    return frozenset(
-        Clause(frozenset(literal_of[b] for b in bits(m)))
-        for m in kept
-        if not m & field.outside
-    )
+    return frozenset(field.alphabet.clause_of(m) for m in kept if not m & field.outside)
 
 
 @dataclass(frozen=True)
@@ -157,14 +148,20 @@ class CompiledState:
         return EMPTY_CLAUSE in self.carc
 
 
-def carc_add(state: CompiledState, clause: Clause) -> CompiledState:
-    """Fold one clause into the minimal field implicates."""
-    processed = state.processed + (clause,)
-    if clause.is_tautology:
-        return replace(state, processed=processed)
-    fresh = produce(state.processed, clause, state.field)
-    carc = mu_minimize(state.carc | fresh)
-    return replace(state, carc=carc, processed=processed)
+def _union(old: frozenset[Clause], fresh: frozenset[Clause]) -> frozenset[Clause]:
+    """`mu_minimize(old | fresh)` for two antichains, comparing only across them.
+
+    A fresh clause goes when it contains an old one, an old clause when it
+    contains a kept fresh one; a dropped fresh clause lies inside no old
+    one, since old is an antichain.
+    """
+    old_masks = [c.mask for c in old]
+    new = [c for c in fresh if not any(m & c.mask == m for m in old_masks)]
+    if not new:
+        return old
+    new_masks = [c.mask for c in new]
+    gone = [c for c in old if any(m & c.mask == m for m in new_masks)]
+    return old.difference(gone).union(new)
 
 
 def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
@@ -180,16 +177,21 @@ def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
     if clause.is_tautology:
         return replace(state, processed=processed)
     full = ProductionField.all_clauses(state.field.alphabet)
-    pi = mu_minimize(state.pi | produce(tuple(state.pi), clause, full))
+    pi = _union(state.pi, produce(tuple(state.pi), clause, full))
     carc = frozenset(c for c in pi if state.field.contains(c))
     return replace(state, carc=carc, processed=processed, pi=pi)
 
 
 def extend(state: CompiledState, clause: Clause) -> CompiledState:
-    """Fold one clause: pi_add when the state tracks prime implicates, else carc_add."""
-    if state.pi is None:
-        return carc_add(state, clause)
-    return pi_add(state, clause)
+    """Fold one clause: `pi_add` when the state tracks prime implicates,
+    else resolve it against the processed clauses and merge into carc."""
+    if state.pi is not None:
+        return pi_add(state, clause)
+    processed = state.processed + (clause,)
+    if clause.is_tautology:
+        return replace(state, processed=processed)
+    carc = _union(state.carc, produce(state.processed, clause, state.field))
+    return replace(state, carc=carc, processed=processed)
 
 
 def compile_clauses(

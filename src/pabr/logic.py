@@ -49,6 +49,7 @@ class Alphabet:
 
     def __init__(self):
         self._by_name: dict[str, Symbol] = {}
+        self._by_bit: dict[int, Literal] = {}
 
     def declare(self, name: str, kind: str) -> Symbol:
         if not IDENT_RE.fullmatch(name):
@@ -57,6 +58,8 @@ class Alphabet:
             raise ValueError(f"symbol declared twice: {name}")
         sym = Symbol(name, kind, len(self._by_name))
         self._by_name[name] = sym
+        for lit in (Literal(sym, True), Literal(sym, False)):
+            self._by_bit[lit.bit] = lit
         return sym
 
     def lookup(self, name: str) -> Symbol:
@@ -67,6 +70,10 @@ class Alphabet:
 
     def get(self, name: str) -> Symbol | None:
         return self._by_name.get(name)
+
+    def clause_of(self, mask: int) -> Clause:
+        """The clause whose literal bits are `mask`."""
+        return Clause(frozenset(self._by_bit[b] for b in bits(mask)))
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -554,7 +561,3 @@ def formula_value(f: Formula, bits: Sequence[int]) -> bool:
 
 def clause_value(clause: Clause, bits: Sequence[int]) -> bool:
     return any(bool(bits[l.symbol.index]) == l.positive for l in clause.literals)
-
-
-def term_value(term: Term, bits: Sequence[int]) -> bool:
-    return all(bool(bits[l.symbol.index]) == l.positive for l in term.literals)

@@ -111,46 +111,41 @@ def _subset_sums(terms: Sequence[Term], table: AssumptionTable, kmax: int) -> li
 
     Entry k-1 sums term_prob over all consistent conjunctions of k distinct
     input terms; inconsistent conjunctions contribute 0 and their supersets
-    are pruned outright since a complementary pair never goes away.
+    are pruned outright since a complementary pair never goes away. The
+    depth-first walk runs on an explicit stack, so no depth hits the recursion limit.
     """
     for t in terms:
         _check_assumption_term(t)
     lit_lists = [
-        [(l.symbol, l.positive, table.literal_prob(l)) for l in t.sorted_literals]
+        [(l.bit, l.negate().bit, table.literal_prob(l)) for l in t.sorted_literals]
         for t in terms
     ]
     buckets: list[list[float]] = [[] for _ in range(kmax)]
     r = len(terms)
     visited = 0
-
-    def walk(start: int, merged: dict, p: float, depth: int) -> None:
-        nonlocal visited
-        if depth == kmax:
-            return
-        for j in range(start, r):
-            visited += 1
-            if visited > ENUMERATION_BUDGET:
-                raise EnumerationLimitError(
-                    f"inclusion-exclusion over {r} terms visits more than "
-                    f"{ENUMERATION_BUDGET} term subsets"
-                )
-            extended = dict(merged)
-            pj = p
-            consistent = True
-            for sym, positive, lp in lit_lists[j]:
-                prior = extended.get(sym)
-                if prior is None:
-                    extended[sym] = positive
-                    pj *= lp
-                elif prior != positive:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            buckets[depth].append(pj)
-            walk(j + 1, extended, pj, depth + 1)
-
-    walk(0, {}, 1.0, 0)
+    stack = [[0, 0, 1.0]]  # per open subset: next term to add, literal mask, product
+    while stack:
+        frame = stack[-1]
+        j, merged, p = frame
+        if j == r or len(stack) > kmax:
+            stack.pop()
+            continue
+        frame[0] = j + 1
+        visited += 1
+        if visited > ENUMERATION_BUDGET:
+            raise EnumerationLimitError(
+                f"inclusion-exclusion over {r} terms visits more than "
+                f"{ENUMERATION_BUDGET} term subsets"
+            )
+        for bit, negated, lp in lit_lists[j]:
+            if merged & negated:
+                break
+            if not merged & bit:
+                merged |= bit
+                p *= lp
+        else:
+            buckets[len(stack) - 1].append(p)
+            stack.append([j + 1, merged, p])
     return [math.fsum(b) for b in buckets]
 
 
@@ -253,8 +248,9 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
         elif node in memo:
             continue
         elif len(node) <= 1 or frozenset() in node:
-            # impossible, certain (an empty term) or a single term's product
-            memo[node] = math.prod(map(table.literal_prob, min(node, key=len))) if node else 0.0
+            # impossible, certain (an empty term) or one term's product in literal order
+            leaf = sorted(min(node, key=len, default=()), key=lambda l: l.sort_key)
+            memo[node] = math.prod(map(table.literal_prob, leaf)) if node else 0.0
         else:
             counts = Counter(l.symbol for t in node for l in t)
             sym = min(counts, key=lambda s: (-counts[s], s.index))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .consequence import CompiledState, carc_add, compile_clauses
+from .consequence import CompiledState, compile_clauses, extend
 from .errors import NonAssumptionLiteralError
 from .logic import (
     ASSUMPTION,
@@ -98,9 +98,10 @@ def minimal_quasi_supports(
 ) -> SupportSets:
     """Minimal quasi-supports of `hypothesis` plus the minimal contradictions.
 
-    The compiled state for the clause set is extended, query-locally, with
-    the clause form of the negated hypothesis; the assumption-only minimal
-    implicates of that extension negate into the quasi-support terms.
+    The compiled state for the clause set is `extend`ed, query-locally, with
+    the clause form of the negated hypothesis, just like the facts; the
+    assumption-only minimal implicates of that extension negate into the
+    quasi-support terms.
     """
     if state is None:
         state = compile_kb(kb)
@@ -108,7 +109,7 @@ def minimal_quasi_supports(
     query_state = state
     negated = sorted(to_cnf(Not(hypothesis)), key=lambda c: c.sort_key)
     for clause in negated:
-        query_state = carc_add(query_state, clause)
+        query_state = extend(query_state, clause)
     mqs = _support_terms(query_state.carc)
     return SupportSets(mqs=mqs, mc=mc)
 

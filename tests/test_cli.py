@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 import tracemalloc
 
 import pytest
@@ -208,6 +209,34 @@ def test_query_union_of_independent_causes_stays_small(kb_path, capsys, n, metho
     assert len(payload["mqs"]) == n
     assert payload["method"] == "shannon_expansion"
     assert payload["support"] == pytest.approx(1 - (7 / 8) ** n, abs=1e-11)
+
+
+def _unit_causes(n):
+    lines = [f"assumption x{i} 0.5" for i in range(n)]
+    lines.append("prop h")
+    lines += [f"clause -x{i} | h" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_compile_many_unit_causes_merges_instead_of_reminimizing(kb_path, capsys):
+    # no fold changes carc, so merging compares no two carc members and
+    # the folds stay linear in the carc size each
+    path = kb_path(_unit_causes(400))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compile", path)
+    assert time.perf_counter() - start < 3.0
+    assert code == 0 and err == ""
+    assert out.startswith("compiled 400 clause(s): 400 characteristic clause(s)")
+
+
+@pytest.mark.parametrize(
+    "method", [["incexc"], ["bounds", "--l", "549"]], ids=["incexc", "bounds"]
+)
+def test_query_subset_walk_past_the_recursion_limit_hits_the_budget(kb_path, capsys, method):
+    # 1 100 unit quasi-supports: the subset walk nests 1 100 deep
+    path = kb_path(_unit_causes(1100))
+    code, out, err = run(capsys, "query", path, "-q", "h", "--method", *method)
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_query_oracle_method_agrees(kb_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from pabr.consequence import (
     CompiledState,
     ProductionField,
-    carc_add,
+    _union,
     compile_clauses,
     extend,
     parse_snapshot,
@@ -157,6 +157,30 @@ def test_produce_matches_the_frozenset_reference(monkeypatch):
         assert compile_clauses(alphabet, clauses, with_pi=True) == state
 
 
+def _random_antichain(rng, symbols):
+    clauses = _messy_clauses(rng, symbols, rng.randint(0, 6))
+    clauses += [Clause.of(Literal(s, rng.random() < 0.5)) for s in rng.sample(symbols, 1)]
+    return mu_minimize(clauses)
+
+
+def test_union_equals_mu_minimize_of_the_merged_antichains():
+    rng = random.Random(8128)
+    saw_equal = saw_empty = False
+    for _ in range(300):
+        alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 3), rng.randint(1, 3))
+        symbols = list(alphabet.symbols)
+        old = _random_antichain(rng, symbols)
+        fresh = _random_antichain(rng, symbols)
+        if rng.random() < 0.3:
+            # share members between the two sets
+            fresh = mu_minimize(fresh | set(rng.sample(sorted(old, key=len), 1)))
+        saw_equal |= bool(old & fresh)
+        saw_empty |= EMPTY_CLAUSE in old | fresh
+        assert _union(old, fresh) == mu_minimize(old | fresh)
+        assert _union(fresh, old) == mu_minimize(old | fresh)
+    assert saw_equal and saw_empty
+
+
 # --- incremental characteristic clauses -------------------------------------------
 
 
@@ -171,11 +195,11 @@ def test_initial_state_is_seeds():
     assert state.pi is None
 
 
-def test_carc_add_keeps_unrelated_tautologies():
+def test_extend_keeps_unrelated_tautologies():
     alphabet, (a1, a2), _ = helpers.make_alphabet(2, 0)
     state = CompiledState.initial(ProductionField.assumption_only(alphabet))
     c = helpers.clause((a1, False), (a2, False))
-    state = carc_add(state, c)
+    state = extend(state, c)
     assert state.carc == {
         helpers.clause((a1, True), (a1, False)),
         helpers.clause((a2, True), (a2, False)),
@@ -184,11 +208,11 @@ def test_carc_add_keeps_unrelated_tautologies():
     assert state.processed == (c,)
 
 
-def test_carc_add_tautology_is_a_no_op_on_carc():
+def test_extend_tautology_is_a_no_op_on_carc():
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
     state = compile_clauses(alphabet, [helpers.clause((a1, False), (p, True))])
     taut = helpers.clause((p, True), (p, False))
-    after = carc_add(state, taut)
+    after = extend(state, taut)
     assert after.carc == state.carc
     assert after.processed == state.processed + (taut,)
 

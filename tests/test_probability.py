@@ -1,7 +1,10 @@
 """Term probabilities, union probabilities, bounds, support normalization."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from itertools import product
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from pabr import probability
 from pabr.errors import (
     BoundsPreconditionError,
+    EnumerationLimitError,
     InconsistentTermError,
     NonAssumptionLiteralError,
     TotalInconsistencyError,
@@ -453,6 +457,55 @@ def test_evaluate_auto_expands_unions_deeper_than_the_recursion_limit():
     expected = 1.0 - (1.0 - 0.999**depth) ** 2
     assert report.method == SHANNON_EXPANSION
     assert report.qs_prob == pytest.approx(expected, abs=1e-12)
+
+
+def test_subset_walks_deeper_than_the_recursion_limit_stop_at_the_budget():
+    # unit terms over distinct symbols: the first chain of nested subsets
+    # holds every term, one level per term
+    n = sys.getrecursionlimit() + 100
+    assumptions, table = halves(n)
+    terms = [helpers.term((a, True)) for a in assumptions]
+    with pytest.raises(EnumerationLimitError):
+        inclusion_exclusion(terms, table)
+    with pytest.raises(EnumerationLimitError):
+        bonferroni_bounds(terms, table, (n - 1) // 2)
+
+
+_HASH_SWEEP = """
+import random
+import helpers
+from pabr.errors import TotalInconsistencyError
+from pabr.logic import clause_to_formula
+from pabr.probability import evaluate
+from pabr.support import minimal_quasi_supports
+
+rng = random.Random(3)
+for _ in range(100):
+    kb, table = helpers.random_kb(rng)
+    h = helpers.random_clause(rng, list(kb.alphabet.symbols))
+    try:
+        r = evaluate(minimal_quasi_supports(kb, clause_to_formula(h)), table)
+    except TotalInconsistencyError:
+        print("total")
+    else:
+        print(repr(r.qs_prob), repr(r.contra_prob), repr(r.support))
+"""
+
+
+def test_evaluate_floats_do_not_follow_string_hashing():
+    # frozenset iteration order follows string hashes; no answer's float may
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SWEEP],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0].count("\n") == 100
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_explicit_methods_agree():

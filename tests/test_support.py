@@ -6,7 +6,8 @@ import pytest
 
 from pabr.errors import NonAssumptionLiteralError
 from pabr.kbfile import build_kb, parse_kb_text
-from pabr.logic import EMPTY_CLAUSE, EMPTY_TERM, clause_to_formula, parse_formula
+from pabr import consequence
+from pabr.logic import EMPTY_CLAUSE, EMPTY_TERM, Not, clause_to_formula, parse_formula, to_cnf
 from pabr.support import (
     KnowledgeBase,
     compile_kb,
@@ -236,6 +237,29 @@ def test_routes_agree_on_clause_hypotheses():
         interpretive = minimal_quasi_supports(kb, clause_to_formula(h), state=state)
         compiled = compiled_mqs(state.pi, h)
         assert compiled == interpretive
+
+
+def test_hypothesis_folds_through_the_prime_implicates(monkeypatch):
+    calls = []
+    pi_add = consequence.pi_add
+
+    def counting(state, clause):
+        calls.append(clause)
+        return pi_add(state, clause)
+
+    monkeypatch.setattr("pabr.consequence.pi_add", counting)
+    rng = random.Random(707)
+    for _ in range(25):
+        kb, _table = helpers.small_random_kb(rng)
+        h = clause_to_formula(random_clause_hypothesis(rng, kb))
+        negated = to_cnf(Not(h))
+        with_pi = compile_kb(kb, with_pi=True)
+        calls.clear()
+        sets = minimal_quasi_supports(kb, h, state=with_pi)
+        assert calls == sorted(negated, key=lambda c: c.sort_key)
+        assert sets == minimal_quasi_supports(kb, h, state=compile_kb(kb))
+        expected = helpers.batch_carc(list(kb.clauses) + list(negated), kb.alphabet)
+        assert sets.mqs == negate_clauses(c for c in expected if not c.is_tautology)
 
 
 def test_contradictions_quasi_support_anything():
