@@ -6,9 +6,9 @@
 
 Exit codes: 0 success (check: consistent), 1 check found contradictions or
 an enumeration limit or work budget was hit, 2 parse errors,
-unreadable/unwritable files, a snapshot compiled from other clauses or
-symbol kinds, or a query formula nested too deeply, 3 total inconsistency,
-4 bounds precondition violated.
+unreadable/unwritable files, or a snapshot compiled from other clauses or
+symbol kinds, 3 total inconsistency, 4 bounds precondition violated.
+Query formulas may nest to any depth.
 Query output is a single JSON object, byte-identical across runs for
 identical inputs; probabilities carry 12 significant digits.
 """
@@ -23,7 +23,6 @@ from . import consequence, kbfile, oracle, probability, support
 from .errors import (
     BoundsPreconditionError,
     EnumerationLimitError,
-    FormulaTooDeepError,
     ParseError,
     StaleSnapshotError,
     TotalInconsistencyError,
@@ -39,12 +38,9 @@ _METHODS = {
 }
 
 
-# Bad input text, files that cannot be opened, decoded or written,
-# snapshots that do not belong to the knowledge base, and query formulas
-# nested past the recursion limit.
-_INPUT_ERRORS = (
-    ParseError, OSError, UnicodeDecodeError, StaleSnapshotError, FormulaTooDeepError
-)
+# Bad input text, files that cannot be opened, decoded or written, and
+# snapshots that do not belong to the knowledge base.
+_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError, StaleSnapshotError)
 
 
 def _fail(message: str, code: int) -> int:
@@ -62,14 +58,6 @@ def _term_json(term: Term) -> list[str]:
 
 def _terms_json(terms) -> list[list[str]]:
     return [_term_json(t) for t in sorted(terms, key=lambda t: t.sort_key)]
-
-
-def _formula_step(fn, *args, **kwargs):
-    """Run a step that recurses once per nesting level of the query formula."""
-    try:
-        return fn(*args, **kwargs)
-    except RecursionError:
-        raise FormulaTooDeepError("formula nested too deeply") from None
 
 
 def _load_state(args, kb) -> consequence.CompiledState:
@@ -125,9 +113,9 @@ def cmd_query(args) -> int:
     try:
         doc = kbfile.parse_kb_file(args.kb)
         kb, table = kbfile.build_kb(doc)
-        hypothesis = _formula_step(parse_formula, args.query, kb.alphabet)
+        hypothesis = parse_formula(args.query, kb.alphabet)
         state = _load_state(args, kb)
-        sets = _formula_step(support.minimal_quasi_supports, kb, hypothesis, state=state)
+        sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
     except _INPUT_ERRORS as err:
         return _fail(str(err), 2)
     method = _METHODS[args.method]

@@ -226,11 +226,14 @@ def mu_minimize(items: Iterable) -> frozenset:
     Duplicates collapse by set semantics. Works on clauses and on terms;
     callers keep the input homogeneous and over one alphabet.
     """
-    pool = list(dict.fromkeys(items))
-    masks = [x.mask for x in pool]
-    return frozenset(
-        x for x, m in zip(pool, masks) if not any(n & m == n != m for n in masks)
-    )
+    pool = {x.mask: x for x in items}
+    return frozenset(pool[m] for m in minimal_masks(pool))
+
+
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that contain no other mask."""
+    pool = list(dict.fromkeys(masks))
+    return [m for m in pool if not any(n & m == n != m for n in pool)]
 
 
 # --- bitmask kernel -----------------------------------------------------------
@@ -406,131 +409,115 @@ def _tokenize(text: str) -> list[tuple[str, int, str]]:
     return tokens
 
 
-class _FormulaParser:
-    """Recursive descent over the connective grammar.
+# Binding strength of the binary connectives, loosest first.
+_CONNECTIVES = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
+
+
+def parse_formula(text: str, alphabet: Alphabet) -> Formula:
+    """Parse a formula by operator precedence on explicit stacks.
 
     Precedence from loose to tight: -> (right associative), |, &, !.
+    `pending` holds the open parentheses, negations and connectives still
+    waiting for an operand, so no nesting depth reaches the recursion limit.
     """
+    operands: list[Formula] = []
+    pending: list[str] = []
 
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.alphabet = alphabet
+    def reduce(floor: int) -> None:
+        # apply the connectives binding at least `floor` above the innermost "("
+        while pending and pending[-1] != "(" and _CONNECTIVES[pending[-1]][0] >= floor:
+            right = operands.pop()
+            operands.append(_CONNECTIVES[pending.pop()][1](operands.pop(), right))
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        node = self.implication()
-        kind, offset, value = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", offset=offset)
-        return node
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek()[0] == "|":
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.negation()
-        while self.peek()[0] == "&":
-            self.advance()
-            node = And(node, self.negation())
-        return node
-
-    def negation(self) -> Formula:
-        kind, offset, value = self.peek()
-        if kind == "!":
-            self.advance()
-            return Not(self.negation())
-        if kind == "(":
-            self.advance()
-            node = self.implication()
-            k, off, v = self.peek()
-            if k != ")":
-                raise ParseError("expected ')'", offset=off)
-            self.advance()
-            return node
-        if kind == "ident":
-            self.advance()
+    want_operand = True
+    for kind, offset, value in _tokenize(text):
+        if want_operand:
+            if kind in ("!", "("):
+                pending.append(kind)
+                continue
+            if kind != "ident":
+                raise ParseError("expected a formula", offset=offset)
             try:
-                sym = self.alphabet.lookup(value)
+                operands.append(Atom(alphabet.lookup(value)))
             except UndeclaredSymbolError:
                 raise UndeclaredSymbolError(
                     f"undeclared identifier: {value}", offset=offset
                 ) from None
-            return Atom(sym)
-        raise ParseError("expected a formula", offset=offset)
+            want_operand = False
+        elif kind in _CONNECTIVES:
+            # a pending -> stays: the right operand of -> is an implication
+            reduce(max(2, _CONNECTIVES[kind][0]))
+            pending.append(kind)
+            want_operand = True
+            continue
+        else:
+            reduce(1)
+            if kind == ")" and pending:
+                pending.pop()
+            elif kind == "end" and not pending:
+                return operands.pop()
+            elif pending:
+                raise ParseError("expected ')'", offset=offset)
+            else:
+                raise ParseError(f"unexpected token {value!r}", offset=offset)
+        # an operand is complete: apply the negations written before it
+        while pending and pending[-1] == "!":
+            pending.pop()
+            operands.append(Not(operands.pop()))
 
 
-def parse_formula(text: str, alphabet: Alphabet) -> Formula:
-    return _FormulaParser(text, alphabet).parse()
+def _polar_postorder(f: Formula) -> list[tuple[Formula, bool]]:
+    """The atoms and binary nodes of `f`, children before parents, with their polarity.
 
-
-def _nnf(f: Formula, negated: bool) -> Formula:
-    if isinstance(f, Atom):
-        return Not(f) if negated else f
-    if isinstance(f, Not):
-        return _nnf(f.operand, not negated)
-    if isinstance(f, And):
-        if negated:
-            return Or(_nnf(f.left, True), _nnf(f.right, True))
-        return And(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Or):
-        if negated:
-            return And(_nnf(f.left, True), _nnf(f.right, True))
-        return Or(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Implies):
-        if negated:
-            return And(_nnf(f.left, False), _nnf(f.right, True))
-        return Or(_nnf(f.left, True), _nnf(f.right, False))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _simplify(clauses: Iterable[Clause]) -> frozenset[Clause]:
-    return mu_minimize(c for c in clauses if not c.is_tautology)
-
-
-def _cnf_clauses(f: Formula) -> frozenset[Clause]:
-    if isinstance(f, Atom):
-        return frozenset({Clause.of(Literal(f.symbol, True))})
-    if isinstance(f, Not):
-        # NNF guarantees the operand is an atom here.
-        return frozenset({Clause.of(Literal(f.operand.symbol, False))})
-    if isinstance(f, And):
-        return _simplify(_cnf_clauses(f.left) | _cnf_clauses(f.right))
-    if isinstance(f, Or):
-        left = _cnf_clauses(f.left)
-        right = _cnf_clauses(f.right)
-        return _simplify(
-            Clause(c1.literals | c2.literals) for c1 in left for c2 in right
-        )
-    raise TypeError(f"unexpected node after NNF: {f!r}")
+    A node is `negated` below an odd number of negations, the left side of
+    each -> counting as one. Read at its polarity a binary node is a
+    conjunction when `isinstance(node, And) != negated` (an And, a negated
+    Or or a negated ->) and a disjunction otherwise: negation normal form
+    without building it. The walk runs on an explicit stack.
+    """
+    order = []
+    stack = [(f, False)]
+    while stack:
+        node, negated = stack.pop()
+        while isinstance(node, Not):
+            node, negated = node.operand, not negated
+        order.append((node, negated))
+        if isinstance(node, (And, Or, Implies)):
+            stack.append((node.left, negated != isinstance(node, Implies)))
+            stack.append((node.right, negated))
+        elif not isinstance(node, Atom):
+            raise TypeError(f"not a formula: {node!r}")
+    order.reverse()
+    return order
 
 
 def to_cnf(formula: Formula) -> frozenset[Clause]:
     """Equivalence-preserving clause form.
 
-    No auxiliary symbols are introduced; distribution happens directly and
-    tautologies plus subsumed clauses are dropped on the fly. A valid
-    formula therefore yields the empty clause set.
+    No auxiliary symbols are introduced: every disjunction distributes over
+    its operands' clauses directly, so k alternations can give 2^k clauses.
+    Tautologies and subsumed clauses are dropped at every node, so a valid
+    formula yields the empty clause set. Works on clause bitmasks.
     """
-    return _cnf_clauses(_nnf(formula, False))
+    order = _polar_postorder(formula)
+    even = even_bits(1 + max(n.symbol.index for n, _ in order if isinstance(n, Atom)))
+    literal_of: dict[int, Literal] = {}
+    values: list[list[int]] = []
+    for node, negated in order:
+        if isinstance(node, Atom):
+            lit = Literal(node.symbol, not negated)
+            literal_of[lit.bit] = lit
+            values.append([lit.bit])
+            continue
+        right, left = values.pop(), values.pop()
+        if isinstance(node, And) != negated:
+            values.append(minimal_masks(left + right))
+        else:
+            merged = (a | b for a in left for b in right)
+            values.append(minimal_masks(m for m in merged if not is_tautology(m, even)))
+    return frozenset(
+        Clause(frozenset(literal_of[b] for b in bits(m))) for m in values.pop()
+    )
 
 
 def clause_to_formula(clause: Clause) -> Formula:
@@ -546,17 +533,15 @@ def clause_to_formula(clause: Clause) -> Formula:
 
 def formula_value(f: Formula, bits: Sequence[int]) -> bool:
     """Evaluate under an interpretation given as bits indexed by symbol index."""
-    if isinstance(f, Atom):
-        return bool(bits[f.symbol.index])
-    if isinstance(f, Not):
-        return not formula_value(f.operand, bits)
-    if isinstance(f, And):
-        return formula_value(f.left, bits) and formula_value(f.right, bits)
-    if isinstance(f, Or):
-        return formula_value(f.left, bits) or formula_value(f.right, bits)
-    if isinstance(f, Implies):
-        return (not formula_value(f.left, bits)) or formula_value(f.right, bits)
-    raise TypeError(f"not a formula: {f!r}")
+    values: list[bool] = []
+    for node, negated in _polar_postorder(f):
+        if isinstance(node, Atom):
+            values.append(bool(bits[node.symbol.index]) != negated)
+        elif isinstance(node, And) != negated:
+            values.append(values.pop() & values.pop())
+        else:
+            values.append(values.pop() | values.pop())
+    return values.pop()
 
 
 def clause_value(clause: Clause, bits: Sequence[int]) -> bool:

@@ -232,14 +232,22 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
 
     Each node splits on the symbol occurring in the most terms, lowest index
     first: P = q * P(terms with it true) + (1 - q) * P(terms with it false).
-    An explicit stack replaces recursion, since a node's depth can reach the
-    number of symbols. Inconsistent terms count 0.
+    Nodes are sets of term bitmasks; a leaf multiplies its one term's literal
+    probabilities in literal order. An explicit stack replaces recursion,
+    since a node's depth can reach the number of symbols. Inconsistent terms
+    count 0.
     """
+    literal_prob: dict[int, float] = {}
+    split_prob: dict[int, float] = {}  # by the symbol's positive bit
     for t in terms:
         _check_assumption_term(t)
-    root = frozenset(t.literals for t in terms if not t.is_inconsistent)
-    memo: dict[frozenset, float] = {}
-    stack: list[tuple[frozenset, tuple | None]] = [(root, None)]
+        for lit in t.literals:
+            literal_prob[lit.bit] = table.literal_prob(lit)
+            split_prob[Literal(lit.symbol, True).bit] = table.prob(lit.symbol)
+    even = even_bits_of(0, *literal_prob)
+    root = frozenset(t.mask for t in terms if not t.is_inconsistent)
+    memo: dict[frozenset[int], float] = {}
+    stack: list[tuple[frozenset[int], tuple | None]] = [(root, None)]
     while stack:
         node, split = stack.pop()
         if split:
@@ -247,17 +255,17 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
             memo[node] = q * memo[yes] + (1.0 - q) * memo[no]
         elif node in memo:
             continue
-        elif len(node) <= 1 or frozenset() in node:
-            # impossible, certain (an empty term) or one term's product in literal order
-            leaf = sorted(min(node, key=len, default=()), key=lambda l: l.sort_key)
-            memo[node] = math.prod(map(table.literal_prob, leaf)) if node else 0.0
+        elif len(node) <= 1 or 0 in node:
+            # impossible, certain (an empty term) or one term's product
+            memo[node] = math.prod(literal_prob[b] for b in bits(min(node))) if node else 0.0
         else:
-            counts = Counter(l.symbol for t in node for l in t)
-            sym = min(counts, key=lambda s: (-counts[s], s.index))
-            pos, neg = Literal(sym, True), Literal(sym, False)
-            yes = frozenset(t - {pos} if pos in t else t for t in node if neg not in t)
-            no = frozenset(t - {neg} if neg in t else t for t in node if pos not in t)
-            stack += ((node, (table.prob(sym), yes, no)), (yes, None), (no, None))
+            # each literal counted at its symbol's positive bit
+            counts = Counter(b & even or b >> 1 for m in node for b in bits(m))
+            pos = min(counts, key=lambda b: (-counts[b], b))
+            neg = pos << 1
+            yes = frozenset(m & ~pos for m in node if not m & neg)
+            no = frozenset(m & ~neg for m in node if not m & pos)
+            stack += ((node, (split_prob[pos], yes, no)), (yes, None), (no, None))
     return memo[root]
 
 

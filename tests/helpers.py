@@ -10,7 +10,19 @@ import math
 import random
 from itertools import product
 
-from pabr.logic import ASSUMPTION, PROPOSITION, Alphabet, Clause, Literal, Term
+from pabr.logic import (
+    ASSUMPTION,
+    PROPOSITION,
+    Alphabet,
+    And,
+    Atom,
+    Clause,
+    Implies,
+    Literal,
+    Not,
+    Or,
+    Term,
+)
 from pabr.probability import AssumptionTable
 from pabr.support import KnowledgeBase
 
@@ -46,6 +58,34 @@ def clause(*pairs):
 
 def term(*pairs):
     return Term(lits(*pairs))
+
+
+# --- formulas, recursively ------------------------------------------------------
+
+
+def reference_value(f, bits):
+    """Truth value of a formula under bits indexed by symbol index, by recursion."""
+    if isinstance(f, Atom):
+        return bool(bits[f.symbol.index])
+    if isinstance(f, Not):
+        return not reference_value(f.operand, bits)
+    left, right = reference_value(f.left, bits), reference_value(f.right, bits)
+    if isinstance(f, And):
+        return left and right
+    if isinstance(f, Or):
+        return left or right
+    assert isinstance(f, Implies)
+    return not left or right
+
+
+def render(f):
+    """Formula text with every binary node in parentheses, by recursion."""
+    if isinstance(f, Atom):
+        return f.symbol.name
+    if isinstance(f, Not):
+        return "!" + render(f.operand)
+    op = {And: "&", Or: "|", Implies: "->"}[type(f)]
+    return f"({render(f.left)} {op} {render(f.right)})"
 
 
 # --- truth tables over bitmasks ----------------------------------------------

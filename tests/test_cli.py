@@ -1,11 +1,17 @@
 """End-to-end command line behavior, run in process."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import tempfile
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabr.cli import main
 from pabr.consequence import read_snapshot
@@ -168,16 +174,43 @@ def test_query_snapshot_must_share_the_kb_clause_set(kb_path, capsys):
         assert out == "" and err.startswith("error:") and "kb.pabr.snap" in err
 
 
+@pytest.mark.parametrize("method", ["auto", "oracle"])
 @pytest.mark.parametrize(
-    "formula",
-    ["(" * 600 + "burglary" + ")" * 600, " & ".join(["burglary"] * 3000)],
-    ids=["nested_parentheses", "flat_conjunction"],
+    "deep, shallow",
+    [
+        ("(" * 600 + "burglary" + ")" * 600, "burglary"),
+        ("(" * 100_000 + "burglary" + ")" * 100_000, "burglary"),
+        (" & ".join(["burglary"] * 3000), "burglary"),
+        ("!" * 3001 + "burglary", "!burglary"),
+        (" -> ".join(["burglary"] * 3000), "burglary -> burglary"),
+    ],
+    ids=[
+        "nested_parentheses",
+        "nested_parentheses_100k",
+        "flat_conjunction",
+        "negations",
+        "implication_chain",
+    ],
 )
-def test_query_formula_nested_too_deeply_exits_2(kb_path, capsys, formula):
+def test_query_deep_formula_answers_like_its_shallow_equivalent(
+    kb_path, capsys, deep, shallow, method
+):
+    # parse, clause form and evaluation run on explicit stacks, so nesting
+    # far past the recursion limit answers; deep Formula trees are never
+    # compared with ==, whose dataclass implementation recurses
     path = kb_path(helpers.BURGLAR_TEXT)
-    code, out, err = run(capsys, "query", path, "-q", formula)
-    assert code == 2
-    assert out == "" and err == "error: formula nested too deeply\n"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "query", path, "-q", deep, "--method", method)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    answer = json.loads(out)
+    assert answer.pop("hypothesis") == deep
+    code, out, _ = run(capsys, "query", path, "-q", shallow, "--method", method)
+    assert code == 0
+    expected = json.loads(out)
+    expected.pop("hypothesis")
+    assert answer == expected
+    assert elapsed < 2
 
 
 @pytest.mark.parametrize(
@@ -376,3 +409,127 @@ def test_unwritable_snapshot_path_exits_2(kb_path, tmp_path, capsys):
     code, out, err = run(capsys, "compile", path, "-o", out_path)
     assert code == 2
     assert out == "" and err.startswith("error:") and "kb.snap" in err
+
+
+# --- fuzz ------------------------------------------------------------------------
+
+FUZZ_PROLOGUE = ["assumption a1 0.5", "assumption a2 0.3", "prop p q"]
+FUZZ_LITERALS = ["a1", "-a1", "a2", "!a2", "p", "-p", "q", "!q"]
+FUZZ_JUNK = [")", "(", "&", "|", "->", "-", "!", "#", "p q", "|&", "é", "?", "zz"]
+fuzz_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+def _clause_line(literals):
+    return st.builds(
+        lambda kind, ls: f"{kind} " + " | ".join(ls),
+        st.sampled_from(["clause", "clause", "fact"]),
+        st.lists(literals, max_size=3),
+    )
+
+
+fuzz_bad_line = st.one_of(
+    st.builds(
+        "assumption {} {}".format,
+        st.sampled_from(["b", "a1"]),
+        st.sampled_from(["1.5", "-0.1", "nan", "x", ""]),
+    ),
+    st.just("prop"),
+    _clause_line(st.sampled_from(["zz", "-", "--p", "a1 a2", "", "é"])),
+    fuzz_text,
+)
+
+
+@st.composite
+def fuzz_kb_text(draw):
+    """At most 8 lines: declarations, clause and fact lines, at most one bad line."""
+    lines = FUZZ_PROLOGUE + draw(
+        st.lists(st.sampled_from(["assumption b 0.5", "assumption c 1", "prop r s"]), max_size=1)
+    )
+    lines += draw(st.lists(_clause_line(st.sampled_from(FUZZ_LITERALS)), max_size=3))
+    if draw(st.sampled_from([False, False, True])):
+        lines.insert(draw(st.integers(0, len(lines))), draw(fuzz_bad_line))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzz_query_text(draw):
+    """A formula of at most 12 leaves, sometimes with a junk token spliced in."""
+    formula = draw(
+        st.recursive(
+            st.sampled_from(["a1", "a2", "p", "q"]),
+            lambda child: st.one_of(
+                child.map("!{}".format),
+                st.builds("({} {} {})".format, child, st.sampled_from(["&", "|", "->"]), child),
+                st.builds("{} {} {}".format, child, st.sampled_from(["&", "|", "->"]), child),
+            ),
+            max_leaves=12,
+        )
+    )
+    junk = draw(st.one_of(st.just(""), st.sampled_from(FUZZ_JUNK)))
+    at = draw(st.integers(0, len(formula)))
+    return formula[:at] + junk + formula[at:]
+
+
+fuzz_snapshot_edit = st.one_of(
+    st.none(),
+    st.tuples(st.just("drop"), st.integers(0, 40)),
+    st.tuples(
+        st.just("replace"),
+        st.integers(0, 40),
+        st.one_of(st.sampled_from(["<empty>", "-a1 | a2", "zz", "[pi]", "[carc]"]), fuzz_text),
+    ),
+    st.just(("section",)),
+)
+
+
+def _edit_snapshot(path, edit):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if edit[0] == "section":
+        lines.append("[unknown]")
+    elif lines:
+        at = edit[1] % len(lines)
+        lines[at : at + 1] = [] if edit[0] == "drop" else [edit[2]]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kb_text=fuzz_kb_text(),
+    with_pi=st.booleans(),
+    use_snapshot=st.booleans(),
+    edit=fuzz_snapshot_edit,
+    query=fuzz_query_text(),
+    method=st.sampled_from(["auto", "incexc", "sdp", "bounds", "oracle"]),
+    l=st.integers(-1, 4),
+)
+def test_cli_fuzz_returns_a_documented_exit_code(
+    kb_text, with_pi, use_snapshot, edit, query, method, l
+):
+    # arbitrary KB, snapshot and query text: cli.main returns an exit code
+    # of 0-4 and raises nothing
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kb.pabr")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(kb_text)
+        code, _, _ = _quiet_main(["compile", path] + ["--pi"] * with_pi)
+        assert code in range(5)
+        argv = ["query", path, f"--query={query}", "--method", method, "--l", str(l)]
+        if use_snapshot:
+            if edit is not None and os.path.exists(path + ".snap"):
+                _edit_snapshot(path + ".snap", edit)
+            argv += ["--snapshot", path + ".snap"]
+        code, out, err = _quiet_main(argv)
+    assert code in range(5)
+    if code == 0:
+        assert set(json.loads(out)) >= {"hypothesis", "mqs", "mc", "support", "method"}
+    else:
+        assert out == "" and err.startswith("error:")

@@ -90,6 +90,25 @@ def test_parse_error_positions():
     assert err.value.offset == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p1 & (p2 | ", "expected a formula at offset 11"),
+        ("(p1 & p2 p3", "expected ')' at offset 9"),
+        ("((p1)", "expected ')' at offset 5"),
+        ("p1 & p2) | p3", "unexpected token ')' at offset 7"),
+        ("p1 !p2", "unexpected token '!' at offset 3"),
+        ("!(p1 -> ) p2", "expected a formula at offset 8"),
+        ("p1 -> & p2", "expected a formula at offset 6"),
+        ("p1 | ?", "unexpected character '?' at offset 5"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text, ALPHABET)
+    assert str(err.value) == message
+
+
 def test_parse_undeclared_identifier_named():
     with pytest.raises(UndeclaredSymbolError) as err:
         parse_formula("p1 & nonsense", ALPHABET)
@@ -142,11 +161,16 @@ formulas = st.recursive(
 @settings(deadline=None, max_examples=200)
 @given(formulas)
 def test_cnf_preserves_truth_table(f):
+    # helpers.render and helpers.reference_value recurse, so the stack-based
+    # parser, formula_value and to_cnf are not checked against each other only
+    assert parse_formula(helpers.render(f), ALPHABET) == f
     clauses = to_cnf(f)
     assert all(not c.is_tautology for c in clauses)
     assert mu_minimize(clauses) == clauses
     for bits in product((0, 1), repeat=len(SYMS)):
-        assert cnf_value(clauses, bits) == formula_value(f, bits)
+        expected = helpers.reference_value(f, bits)
+        assert formula_value(f, bits) == expected
+        assert cnf_value(clauses, bits) == expected
 
 
 # --- subsumption and minimization ----------------------------------------------
