@@ -6,8 +6,10 @@
 
 Exit codes: 0 success (check: consistent), 1 check found contradictions or
 an enumeration limit or work budget was hit, 2 parse errors,
-unreadable/unwritable files, or a snapshot compiled from other clauses or
-symbol kinds, 3 total inconsistency, 4 bounds precondition violated.
+unreadable/unwritable files, or a snapshot whose fingerprint line does not
+match the knowledge base and its own sections (compiled from other
+declarations or clauses, edited, or written without one), 3 total
+inconsistency, 4 bounds precondition violated.
 Query formulas may nest to any depth.
 Query output is a single JSON object, byte-identical across runs for
 identical inputs; probabilities carry 12 significant digits.
@@ -60,26 +62,23 @@ def _terms_json(terms) -> list[list[str]]:
     return [_term_json(t) for t in sorted(terms, key=lambda t: t.sort_key)]
 
 
-def _load_state(args, kb) -> consequence.CompiledState:
-    """Snapshot if given, else a fresh fold of the stable knowledge.
+def _snapshot_source(kb) -> str:
+    """What a snapshot's fingerprint covers of the knowledge base: its
+    declarations (names and kinds, not probabilities) and its distinct
+    `clause` lines, all sorted, so reordered or repeated lines keep it."""
+    declarations = sorted((s.name, s.kind) for s in kb.alphabet.symbols)
+    clauses = {"clause " + " | ".join(sorted(map(str, c.literals))) for c in kb.sigma_k}
+    return "\n".join([f"{name} {kind}" for name, kind in declarations] + sorted(clauses))
 
-    A snapshot must have folded the knowledge base's `clause` lines, in any
-    order (the fold does not depend on it), under the same symbol kinds:
-    its carc is assumption-only and holds, for each assumption s, the seed
-    s | -s or a unit or empty clause that subsumes it.
+
+def _load_state(args, kb) -> consequence.CompiledState:
+    """Snapshot if given, else a fresh fold of the stable knowledge; then the facts.
+
+    A snapshot must carry the fingerprint of the knowledge base's
+    declarations and `clause` lines and of its own sections.
     """
     if args.snapshot:
-        state = consequence.read_snapshot(args.snapshot, kb.alphabet)
-        narrow = {c.symbols() for c in state.carc if len(c.symbols()) <= 1}
-        same_kinds = all(c.is_assumption_only for c in state.carc) and (
-            frozenset() in narrow
-            or all(frozenset([s]) in narrow for s in kb.alphabet.assumptions)
-        )
-        if not same_kinds or set(state.processed) != set(kb.sigma_k):
-            raise StaleSnapshotError(
-                f"snapshot {args.snapshot} was not compiled from the clauses "
-                f"and symbol kinds of {args.kb}"
-            )
+        state = consequence.read_snapshot(args.snapshot, kb.alphabet, _snapshot_source(kb))
     else:
         state = consequence.compile_clauses(kb.alphabet, kb.sigma_k)
     for clause in kb.sigma_f:
@@ -98,12 +97,15 @@ def cmd_compile(args) -> int:
         return _fail("knowledge clauses are inconsistent without any assumptions", 3)
     out = args.out or (args.kb + ".snap")
     try:
-        consequence.write_snapshot(state, out)
+        consequence.write_snapshot(state, out, _snapshot_source(kb))
     except OSError as err:
         return _fail(str(err), 2)
-    summary = f"compiled {len(kb.sigma_k)} clause(s): {len(state.carc)} characteristic clause(s)"
-    if state.pi is not None:
-        summary += f", {len(state.pi)} prime implicate(s)"
+    summary = (
+        f"compiled {len(kb.sigma_k)} clause(s): "
+        f"{len(state.carc_masks)} characteristic clause(s)"
+    )
+    if state.pi_masks is not None:
+        summary += f", {len(state.pi_masks)} prime implicate(s)"
     print(summary)
     print(f"snapshot written to {out}")
     return 0

@@ -10,27 +10,32 @@ assumption-only set off them (the field is subsumption-stable, so its
 minimal implicates are the prime implicates inside it), and into the
 assumption-only set directly otherwise.
 
-Each fold is one given-clause saturation (`produce`) run on clause
-bitmasks: a first-in first-out agenda of derived clauses, forward
-subsumption of every resolvent by the kept and pending clauses, and
-backward subsumption, which drops the kept clauses a newly kept one
-subsumes, so kept clauses are never resolved against stale ones. Its
-result is an antichain, merged into the old one by `_union`.
+Everything here runs on clause bitmasks (`Clause.mask`): the compiled
+state holds masks, snapshot files are read into masks and written from
+them through the alphabet's literal text tables, and `Clause` objects are
+built only on demand, for the state's read-only views.
+
+Each fold is one given-clause saturation (`produce`): a first-in
+first-out agenda of derived clauses, forward subsumption of every
+resolvent by the kept and pending clauses, and backward subsumption, which
+drops the kept clauses a newly kept one subsumes, so kept clauses are
+never resolved against stale ones. Its result is an antichain, merged into
+the old one by `_union`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import ParseError, UndeclaredSymbolError
+from .errors import ParseError, StaleSnapshotError, UndeclaredSymbolError
 from .logic import (
     Alphabet,
     Clause,
-    EMPTY_CLAUSE,
-    Literal,
+    bits,
     even_bits,
     is_tautology,
     parse_clause_body,
@@ -38,6 +43,16 @@ from .logic import (
     resolvent_mask,
     swap,
 )
+
+# CPython's built-in SHA-256: importing hashlib loads OpenSSL's libcrypto,
+# which adds about 3.6 MB to every command's resident memory.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 ASSUMPTION_ONLY = "assumption_only"
 ALL_CLAUSES = "all_clauses"
@@ -60,7 +75,7 @@ class ProductionField:
             raise ValueError(f"unknown field kind: {self.kind!r}")
         outside = 0
         if self.kind == ASSUMPTION_ONLY:
-            outside = ~sum(c.mask for c in self.seed_clauses())
+            outside = ~sum(self.seed_masks())
         object.__setattr__(self, "outside", outside)
 
     @classmethod
@@ -74,36 +89,37 @@ class ProductionField:
     def contains(self, clause: Clause) -> bool:
         return not clause.mask & self.outside
 
-    def seed_clauses(self) -> frozenset[Clause]:
-        """Tautologies inside the field: the minimal implicates of nothing."""
+    def seed_masks(self) -> frozenset[int]:
+        """Tautologies inside the field, s | -s per symbol: the minimal implicates of nothing."""
         if self.kind == ASSUMPTION_ONLY:
             symbols = self.alphabet.assumptions
         else:
             symbols = self.alphabet.symbols
-        return frozenset(
-            Clause.of(Literal(s, True), Literal(s, False)) for s in symbols
-        )
+        return frozenset(3 << 2 * s.index for s in symbols)
+
+    def seed_clauses(self) -> frozenset[Clause]:
+        return frozenset(map(self.alphabet.clause_of, self.seed_masks()))
 
 
-def produce(sigma: Sequence[Clause], clause: Clause, field: ProductionField) -> frozenset[Clause]:
-    """Field members of the resolution closure seeded at `clause`.
+def produce(sides: Sequence[int], clause: int, field: ProductionField) -> list[int]:
+    """Field members of the resolution closure seeded at the mask `clause`.
 
     A given-clause loop on bitmasks: each clause popped from the agenda is
     dropped when a kept clause subsumes it; otherwise it is kept, the kept
     clauses it subsumes are dropped, and its resolvents with the side
-    clauses `sigma` and with every kept clause (so ancestor steps are
+    clauses `sides` and with every kept clause (so ancestor steps are
     covered) join the agenda unless a kept or pending clause subsumes
     them. Tautologies never enter. The kept clauses stay pairwise
     incomparable, so the field members among them are mu-minimal. Merged
-    with the previous minimal field implicates of `sigma` by `_union` they
-    yield the minimal field implicates of sigma plus `clause`.
+    with the previous minimal field implicates of `sides` by `_union` they
+    yield the minimal field implicates of the sides plus `clause`.
     """
     even = even_bits(len(field.alphabet))
-    if is_tautology(clause.mask, even):
-        return frozenset()
-    sides = [m for m in dict.fromkeys(c.mask for c in sigma) if not is_tautology(m, even)]
+    if is_tautology(clause, even):
+        return []
+    sides = [m for m in dict.fromkeys(sides) if not is_tautology(m, even)]
     kept: list[int] = []
-    agenda = deque([clause.mask])
+    agenda = deque([clause])
     while agenda:
         given = agenda.popleft()
         if any(k & given == k for k in kept):
@@ -120,48 +136,70 @@ def produce(sigma: Sequence[Clause], clause: Clause, field: ProductionField) -> 
             if any(k & r == k for k in kept) or any(a & r == a for a in agenda):
                 continue
             agenda.append(r)
-    return frozenset(field.alphabet.clause_of(m) for m in kept if not m & field.outside)
+    return [m for m in kept if not m & field.outside]
 
 
 @dataclass(frozen=True)
 class CompiledState:
-    """Immutable snapshot of an incremental compilation.
+    """Immutable snapshot of an incremental compilation, on clause bitmasks.
 
-    `carc` holds the minimal implicates of the processed clauses inside
-    `field`; `pi`, when enabled, holds the full prime implicate set of the
-    same clauses. Updates return fresh snapshots.
+    `carc_masks` holds the minimal implicates of the processed clauses
+    inside `field`; `pi_masks`, when enabled, holds the full prime implicate
+    set of the same clauses; `processed_masks` lists the folded clauses in
+    fold order. `carc`, `pi` and `processed` are the same sets as `Clause`
+    objects, built on first access. Updates return fresh snapshots.
     """
 
     field: ProductionField
-    carc: frozenset[Clause]
-    processed: tuple[Clause, ...] = ()
-    pi: frozenset[Clause] | None = None
+    carc_masks: frozenset[int]
+    processed_masks: tuple[int, ...] = ()
+    pi_masks: frozenset[int] | None = None
 
     @classmethod
     def initial(cls, field: ProductionField, with_pi: bool = False) -> CompiledState:
-        pi = ProductionField.all_clauses(field.alphabet).seed_clauses() if with_pi else None
-        return cls(field=field, carc=field.seed_clauses(), processed=(), pi=pi)
+        pi = ProductionField.all_clauses(field.alphabet).seed_masks() if with_pi else None
+        return cls(field=field, carc_masks=field.seed_masks(), pi_masks=pi)
 
     @property
     def is_plainly_inconsistent(self) -> bool:
         """True when the processed clauses are unsatisfiable outright."""
-        return EMPTY_CLAUSE in self.carc
+        return 0 in self.carc_masks
+
+    @cached_property
+    def carc(self) -> frozenset[Clause]:
+        return frozenset(map(self.field.alphabet.clause_of, self.carc_masks))
+
+    @cached_property
+    def pi(self) -> frozenset[Clause] | None:
+        if self.pi_masks is None:
+            return None
+        return frozenset(map(self.field.alphabet.clause_of, self.pi_masks))
+
+    @cached_property
+    def processed(self) -> tuple[Clause, ...]:
+        return tuple(map(self.field.alphabet.clause_of, self.processed_masks))
 
 
-def _union(old: frozenset[Clause], fresh: frozenset[Clause]) -> frozenset[Clause]:
-    """`mu_minimize(old | fresh)` for two antichains, comparing only across them.
+def _union(old: frozenset[int], fresh: Iterable[int]) -> frozenset[int]:
+    """`minimal_masks(old | fresh)` for two antichains, comparing only across them.
 
     A fresh clause goes when it contains an old one, an old clause when it
     contains a kept fresh one; a dropped fresh clause lies inside no old
     one, since old is an antichain.
     """
-    old_masks = [c.mask for c in old]
-    new = [c for c in fresh if not any(m & c.mask == m for m in old_masks)]
+    new = [c for c in fresh if not _contains_one_of(c, old)]
     if not new:
         return old
-    new_masks = [c.mask for c in new]
-    gone = [c for c in old if any(m & c.mask == m for m in new_masks)]
+    gone = [c for c in old if _contains_one_of(c, new)]
     return old.difference(gone).union(new)
+
+
+def _contains_one_of(mask: int, pool: Iterable[int]) -> bool:
+    # a plain loop: about twice as fast as any() over a generator here
+    for m in pool:
+        if m & mask == m:
+            return True
+    return False
 
 
 def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
@@ -171,27 +209,28 @@ def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
     side clauses; they are equivalent to them and already minimal. The new
     carc is the part of the new prime implicate set inside `state.field`.
     """
-    if state.pi is None:
+    if state.pi_masks is None:
         raise ValueError("state was compiled without prime implicates")
-    processed = state.processed + (clause,)
+    processed = state.processed_masks + (clause.mask,)
     if clause.is_tautology:
-        return replace(state, processed=processed)
+        return replace(state, processed_masks=processed)
     full = ProductionField.all_clauses(state.field.alphabet)
-    pi = _union(state.pi, produce(tuple(state.pi), clause, full))
-    carc = frozenset(c for c in pi if state.field.contains(c))
-    return replace(state, carc=carc, processed=processed, pi=pi)
+    pi = _union(state.pi_masks, produce(tuple(state.pi_masks), clause.mask, full))
+    outside = state.field.outside
+    carc = frozenset(m for m in pi if not m & outside)
+    return replace(state, carc_masks=carc, processed_masks=processed, pi_masks=pi)
 
 
 def extend(state: CompiledState, clause: Clause) -> CompiledState:
     """Fold one clause: `pi_add` when the state tracks prime implicates,
     else resolve it against the processed clauses and merge into carc."""
-    if state.pi is not None:
+    if state.pi_masks is not None:
         return pi_add(state, clause)
-    processed = state.processed + (clause,)
+    processed = state.processed_masks + (clause.mask,)
     if clause.is_tautology:
-        return replace(state, processed=processed)
-    carc = _union(state.carc, produce(state.processed, clause, state.field))
-    return replace(state, carc=carc, processed=processed)
+        return replace(state, processed_masks=processed)
+    fresh = produce(state.processed_masks, clause.mask, state.field)
+    return replace(state, carc_masks=_union(state.carc_masks, fresh), processed_masks=processed)
 
 
 def compile_clauses(
@@ -204,36 +243,65 @@ def compile_clauses(
 
 
 # --- snapshot files ----------------------------------------------------------
+#
+# A written snapshot starts with a fingerprint line: a SHA-256 over the
+# text of what it was compiled from (`source`, supplied by the caller) and
+# the section lines below it. A reader that knows the source checks it, so
+# a snapshot of other clauses or symbol kinds, or an edited one, is refused.
 
 _EMPTY_TOKEN = "<empty>"
 _SECTIONS = ("carc", "pi", "processed")
+_FINGERPRINT = "# fingerprint sha256 "
 
 
-def _clause_line(clause: Clause) -> str:
-    return _EMPTY_TOKEN if clause.is_empty else str(clause)
+def fingerprint(source: str, sections: str) -> str:
+    return sha256(f"{source}\n{sections}".encode()).hexdigest()
 
 
-def snapshot_text(state: CompiledState) -> str:
+def _clause_lines(masks: Iterable[int], text_of_bit: dict[int, str]) -> list[str]:
+    return [" | ".join(text_of_bit[b] for b in bits(m)) or _EMPTY_TOKEN for m in masks]
+
+
+def _canonical(masks: Iterable[int]) -> list[int]:
+    """Masks by ascending bit positions, the order of `Clause.sort_key`."""
+    return sorted(masks, key=lambda m: [b.bit_length() for b in bits(m)])
+
+
+def snapshot_text(state: CompiledState, source: str | None = None) -> str:
     """Render a snapshot as sectioned text, one clause per line.
 
     carc and pi are written in canonical order; the processed section keeps
-    insertion order because it is the fold history.
+    insertion order because it is the fold history. With `source`, a
+    fingerprint line comes first.
     """
-    lines = ["[carc]"]
-    lines += [_clause_line(c) for c in sorted(state.carc, key=lambda c: c.sort_key)]
-    if state.pi is not None:
+    text_of_bit = state.field.alphabet.text_of_bit
+    lines = ["[carc]"] + _clause_lines(_canonical(state.carc_masks), text_of_bit)
+    if state.pi_masks is not None:
         lines.append("[pi]")
-        lines += [_clause_line(c) for c in sorted(state.pi, key=lambda c: c.sort_key)]
+        lines += _clause_lines(_canonical(state.pi_masks), text_of_bit)
     lines.append("[processed]")
-    lines += [_clause_line(c) for c in state.processed]
-    return "\n".join(lines) + "\n"
+    lines += _clause_lines(state.processed_masks, text_of_bit)
+    sections = "\n".join(lines) + "\n"
+    if source is None:
+        return sections
+    return f"{_FINGERPRINT}{fingerprint(source, sections)}\n{sections}"
+
+
+def _parsed_mask(raw: str, lineno: int, alphabet: Alphabet) -> int:
+    """A clause line through the full clause parser: the spellings the
+    literal table does not hold (`- a`), or the parser's error."""
+    raw_clause = parse_clause_body(raw, lineno)
+    try:
+        return resolve_clause(raw_clause, alphabet).mask
+    except UndeclaredSymbolError as err:
+        raise UndeclaredSymbolError(str(err), line=lineno) from None
 
 
 def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
-    field = ProductionField.assumption_only(alphabet)
-    sections: dict[str, list[Clause]] = {}
-    current: str | None = None
-    saw_pi = False
+    """Read snapshot text into a state; `#` lines (the fingerprint too) are comments."""
+    bit_of_text = alphabet.bit_of_text
+    sections: dict[str, list[int]] = {}
+    current: list[int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -242,33 +310,47 @@ def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
             name = line[1:-1]
             if name not in _SECTIONS:
                 raise ParseError(f"unknown section {name!r}", line=lineno)
-            current = name
-            sections.setdefault(name, [])
-            if name == "pi":
-                saw_pi = True
+            current = sections.setdefault(name, [])
             continue
         if current is None:
             raise ParseError("clause before any section header", line=lineno)
-        raw_clause = parse_clause_body("" if line == _EMPTY_TOKEN else raw, lineno)
-        try:
-            sections[current].append(resolve_clause(raw_clause, alphabet))
-        except UndeclaredSymbolError as err:
-            raise UndeclaredSymbolError(str(err), line=lineno) from None
+        mask = 0
+        if line != _EMPTY_TOKEN:
+            for token in line.split("|"):
+                bit = bit_of_text.get(token.strip())
+                if bit is None:
+                    mask = _parsed_mask(raw, lineno, alphabet)
+                    break
+                mask |= bit
+        current.append(mask)
     if "carc" not in sections:
         raise ParseError("missing [carc] section", line=1)
+    pi = sections.get("pi")
     return CompiledState(
-        field=field,
-        carc=frozenset(sections.get("carc", [])),
-        processed=tuple(sections.get("processed", [])),
-        pi=frozenset(sections["pi"]) if saw_pi else None,
+        field=ProductionField.assumption_only(alphabet),
+        carc_masks=frozenset(sections["carc"]),
+        processed_masks=tuple(sections.get("processed", ())),
+        pi_masks=None if pi is None else frozenset(pi),
     )
 
 
-def write_snapshot(state: CompiledState, path) -> None:
+def write_snapshot(state: CompiledState, path, source: str | None = None) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(snapshot_text(state))
+        fh.write(snapshot_text(state, source))
 
 
-def read_snapshot(path, alphabet: Alphabet) -> CompiledState:
+def read_snapshot(path, alphabet: Alphabet, source: str | None = None) -> CompiledState:
+    """Read a snapshot file; with `source`, refuse one whose fingerprint line
+    is missing or does not match `source` and the sections (StaleSnapshotError)."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_snapshot(fh.read(), alphabet)
+        text = fh.read()
+    if source is not None:
+        header, _, sections = text.partition("\n")
+        if not header.startswith(_FINGERPRINT):
+            raise StaleSnapshotError(f"snapshot {path} has no fingerprint line; compile it again")
+        if header != _FINGERPRINT + fingerprint(source, sections):
+            raise StaleSnapshotError(
+                f"snapshot {path} was compiled from other declarations or clauses, "
+                "or edited since; compile it again"
+            )
+    return parse_snapshot(text, alphabet)

@@ -50,6 +50,9 @@ class Alphabet:
     def __init__(self):
         self._by_name: dict[str, Symbol] = {}
         self._by_bit: dict[int, Literal] = {}
+        # literal text ("a", "-a", "!a") to its bit, and bit to canonical text
+        self.bit_of_text: dict[str, int] = {}
+        self.text_of_bit: dict[int, str] = {}
 
     def declare(self, name: str, kind: str) -> Symbol:
         if not IDENT_RE.fullmatch(name):
@@ -60,6 +63,9 @@ class Alphabet:
         self._by_name[name] = sym
         for lit in (Literal(sym, True), Literal(sym, False)):
             self._by_bit[lit.bit] = lit
+            self.text_of_bit[lit.bit] = str(lit)
+            self.bit_of_text[str(lit)] = lit.bit
+        self.bit_of_text["!" + name] = self.bit_of_text["-" + name]
         return sym
 
     def lookup(self, name: str) -> Symbol:
@@ -73,7 +79,14 @@ class Alphabet:
 
     def clause_of(self, mask: int) -> Clause:
         """The clause whose literal bits are `mask`."""
-        return Clause(frozenset(self._by_bit[b] for b in bits(mask)))
+        return Clause(self.literals_of(mask))
+
+    def term_of(self, mask: int) -> Term:
+        """The term whose literal bits are `mask`."""
+        return Term(self.literals_of(mask))
+
+    def literals_of(self, mask: int) -> frozenset[Literal]:
+        return frozenset(self._by_bit[b] for b in bits(mask))
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:

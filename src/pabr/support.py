@@ -21,7 +21,10 @@ from .logic import (
     Formula,
     Not,
     Term,
+    even_bits,
+    is_tautology,
     mu_minimize,
+    swap,
     to_cnf,
 )
 
@@ -75,6 +78,21 @@ def _support_terms(carc: Iterable[Clause]) -> frozenset[Term]:
     return negate_clauses(c for c in carc if not c.is_tautology)
 
 
+def _state_terms(state: CompiledState) -> frozenset[Term]:
+    """`_support_terms` of a state's carc, read off its masks."""
+    alphabet = state.field.alphabet
+    even = even_bits(len(alphabet))
+    terms = []
+    for m in state.carc_masks:
+        if is_tautology(m, even):
+            continue
+        if m & state.field.outside:
+            # a proposition literal, from a hand-made snapshot: raises
+            negate_clauses([alphabet.clause_of(m)])
+        terms.append(alphabet.term_of(swap(m, even)))
+    return frozenset(terms)
+
+
 def compile_kb(kb: KnowledgeBase, with_pi: bool = False) -> CompiledState:
     """Fold the whole clause set (knowledge, then facts) into a snapshot."""
     return compile_clauses(kb.alphabet, kb.clauses, with_pi=with_pi)
@@ -90,7 +108,7 @@ def minimal_contradictions(
     """
     if state is None:
         state = compile_kb(kb)
-    return _support_terms(state.carc)
+    return _state_terms(state)
 
 
 def minimal_quasi_supports(
@@ -105,12 +123,12 @@ def minimal_quasi_supports(
     """
     if state is None:
         state = compile_kb(kb)
-    mc = _support_terms(state.carc)
+    mc = _state_terms(state)
     query_state = state
     negated = sorted(to_cnf(Not(hypothesis)), key=lambda c: c.sort_key)
     for clause in negated:
         query_state = extend(query_state, clause)
-    mqs = _support_terms(query_state.carc)
+    mqs = _state_terms(query_state)
     return SupportSets(mqs=mqs, mc=mc)
 
 

@@ -272,6 +272,63 @@ def reference_produce(sigma, clause, field):
     return frozenset(Clause(k) for k in inside if not any(j < k for j in inside))
 
 
+def reference_produce_masks(sides, clause, field):
+    """`reference_produce` with `consequence.produce`'s mask signature."""
+    alphabet = field.alphabet
+    sigma = [alphabet.clause_of(m) for m in sides]
+    return [c.mask for c in reference_produce(sigma, alphabet.clause_of(clause), field)]
+
+
+# --- reference snapshot reader and writer -------------------------------------
+
+
+def reference_parse_snapshot(text, alphabet):
+    """Snapshot sections as `Clause` lists, every line through the KB clause parser.
+
+    The Clause-level reader that `consequence.parse_snapshot` replaced, kept
+    to compare masks, error types, messages and line numbers against.
+    """
+    from pabr.errors import ParseError, UndeclaredSymbolError
+    from pabr.logic import parse_clause_body, resolve_clause
+
+    sections = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            if name not in ("carc", "pi", "processed"):
+                raise ParseError(f"unknown section {name!r}", line=lineno)
+            current = name
+            sections.setdefault(name, [])
+            continue
+        if current is None:
+            raise ParseError("clause before any section header", line=lineno)
+        raw_clause = parse_clause_body("" if line == "<empty>" else raw, lineno)
+        try:
+            sections[current].append(resolve_clause(raw_clause, alphabet))
+        except UndeclaredSymbolError as err:
+            raise UndeclaredSymbolError(str(err), line=lineno) from None
+    if "carc" not in sections:
+        raise ParseError("missing [carc] section", line=1)
+    return sections
+
+
+def reference_snapshot_text(carc, pi, processed):
+    """Section text of `Clause` sets, rendered by `str` and sorted by `sort_key`."""
+
+    def line(c):
+        return "<empty>" if c.is_empty else str(c)
+
+    lines = ["[carc]"] + [line(c) for c in sorted(carc, key=lambda c: c.sort_key)]
+    if pi is not None:
+        lines += ["[pi]"] + [line(c) for c in sorted(pi, key=lambda c: c.sort_key)]
+    lines += ["[processed]"] + [line(c) for c in processed]
+    return "\n".join(lines) + "\n"
+
+
 # --- random instances ---------------------------------------------------------
 
 

@@ -174,6 +174,94 @@ def test_query_snapshot_must_share_the_kb_clause_set(kb_path, capsys):
         assert out == "" and err.startswith("error:") and "kb.pabr.snap" in err
 
 
+TWO_CAUSES = """\
+assumption a1 0.5
+assumption a2 0.5
+prop p
+clause -a1 | p
+clause -a2 | -p
+"""
+
+
+def _edit_line(section, line, *replacement):
+    """An edit that replaces `line` of snapshot section `section` (deletes it by default)."""
+
+    def edit(lines):
+        start = lines.index(f"[{section}]")
+        at = lines.index(line, start)
+        assert not any(l.startswith("[") for l in lines[start + 1 : at])
+        lines[at : at + 1] = replacement
+
+    return edit
+
+
+SNAPSHOT_EDITS = {
+    # the carc line -a1 | -a2 (contradiction a1 & a2) gone: without the
+    # fingerprint this answered support 0.5 where the KB gives 0.333333333333
+    "carc_line_deleted": ((), _edit_line("carc", "-a1 | -a2")),
+    "pi_line_edited": (("--pi",), _edit_line("pi", "-a1 | -a2", "-a1")),
+    "fingerprint_line_deleted": ((), lambda lines: lines.pop(0)),
+    "comment_added": (("--pi",), lambda lines: lines.append("# note")),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SNAPSHOT_EDITS))
+def test_query_refuses_an_edited_snapshot(kb_path, capsys, edit):
+    flags, change = SNAPSHOT_EDITS[edit]
+    path = kb_path(TWO_CAUSES)
+    _, direct, _ = run(capsys, "query", path, "-q", "p")
+    assert json.loads(direct)["support"] == 0.333333333333
+    assert run(capsys, "compile", path, *flags)[0] == 0
+    snap = pathlib.Path(path + ".snap")
+    lines = snap.read_text().splitlines()
+    assert lines[0].startswith("# fingerprint sha256 ")
+    change(lines)
+    snap.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "query", path, "-q", "p", "--snapshot", str(snap))
+    assert code == 2 and out == ""
+    assert err.startswith("error: snapshot ") and "kb.pabr.snap" in err
+    assert "compile it again" in err
+
+
+KB_EDITS = {
+    "prop_made_assumption": ("prop p\n", "assumption p 0.5\n"),
+    "clause_line_deleted": ("clause -a2 | -p\n", ""),
+    "clause_line_changed": ("clause -a2 | -p\n", "clause -a2 | p\n"),
+    "symbol_declared": ("prop p\n", "prop p q\n"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(KB_EDITS))
+def test_query_refuses_a_snapshot_of_another_kb(kb_path, capsys, edit):
+    path = kb_path(TWO_CAUSES)
+    assert run(capsys, "compile", path, "--pi")[0] == 0
+    kb_path(TWO_CAUSES.replace(*KB_EDITS[edit]))
+    code, out, err = run(capsys, "query", path, "-q", "p", "--snapshot", path + ".snap")
+    assert code == 2 and out == ""
+    assert err.startswith("error: snapshot ") and "kb.pabr.snap" in err
+
+
+KB_KEEPING_EDITS = {
+    "declarations_reordered": "assumption a2 0.5\nassumption a1 0.5\nprop p\n"
+    "clause -a1 | p\nclause -a2 | -p\n",
+    "clauses_reordered_and_respelled": "assumption a1 0.5\nassumption a2 0.5\nprop p\n"
+    "clause !p | -a2\nclause p | -a1 | p\n",
+    "probabilities_changed": TWO_CAUSES.replace("a1 0.5", "a1 0.25").replace("a2 0.5", "a2 0.9"),
+    "fact_added": TWO_CAUSES + "fact -a2\n",
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--pi",)])
+@pytest.mark.parametrize("edit", sorted(KB_KEEPING_EDITS))
+def test_query_accepts_a_snapshot_of_the_same_clauses(kb_path, capsys, edit, flags):
+    path = kb_path(TWO_CAUSES)
+    assert run(capsys, "compile", path, *flags)[0] == 0
+    kb_path(KB_KEEPING_EDITS[edit])
+    _, direct, _ = run(capsys, "query", path, "-q", "p")
+    code, snapped, err = run(capsys, "query", path, "-q", "p", "--snapshot", path + ".snap")
+    assert code == 0 and err == "" and snapped == direct
+
+
 @pytest.mark.parametrize("method", ["auto", "oracle"])
 @pytest.mark.parametrize(
     "deep, shallow",

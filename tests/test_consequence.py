@@ -81,11 +81,18 @@ def test_field_stability_under_subclauses():
 # --- produce ---------------------------------------------------------------------
 
 
+def produced(sigma, clause, field):
+    """`produce` on the clauses' masks, its distinct results as clauses."""
+    out = produce([c.mask for c in sigma], clause.mask, field)
+    assert len(set(out)) == len(out)
+    return frozenset(map(field.alphabet.clause_of, out))
+
+
 def test_produce_resolves_into_field():
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
     pa = ProductionField.assumption_only(alphabet)
     sigma = [helpers.clause((a1, False), (p, True))]
-    out = produce(sigma, helpers.clause((p, False)), pa)
+    out = produced(sigma, helpers.clause((p, False)), pa)
     assert out == {helpers.clause((a1, False))}
 
 
@@ -93,7 +100,7 @@ def test_produce_clause_already_in_field():
     alphabet, (a1, a2), _ = helpers.make_alphabet(2, 0)
     pa = ProductionField.assumption_only(alphabet)
     c = helpers.clause((a1, False), (a2, False))
-    assert produce([], c, pa) == {c}
+    assert produced([], c, pa) == {c}
 
 
 def test_produce_mixed_resolvents_filtered_out():
@@ -103,7 +110,7 @@ def test_produce_mixed_resolvents_filtered_out():
     alarm = alphabet.declare("alarm", helpers.PROPOSITION)
     pa = ProductionField.assumption_only(alphabet)
     sigma = [helpers.clause((burglary, False), (a1, False), (alarm, True))]
-    assert produce(sigma, helpers.clause((alarm, False)), pa) == frozenset()
+    assert produced(sigma, helpers.clause((alarm, False)), pa) == frozenset()
 
 
 def test_produce_contract_against_enumeration():
@@ -114,7 +121,7 @@ def test_produce_contract_against_enumeration():
         pa = ProductionField.assumption_only(alphabet)
         clauses = list(kb.sigma_k)
         sigma, last = clauses[:-1], clauses[-1]
-        fresh = produce(sigma, last, pa)
+        fresh = produced(sigma, last, pa)
         merged = mu_minimize(expected_carc(sigma, alphabet) | fresh)
         assert merged == expected_carc(clauses, alphabet)
 
@@ -149,10 +156,10 @@ def test_produce_matches_the_frozenset_reference(monkeypatch):
             ProductionField.assumption_only(alphabet),
             ProductionField.all_clauses(alphabet),
         ):
-            assert produce(sigma, last, field) == helpers.reference_produce(sigma, last, field)
+            assert produced(sigma, last, field) == helpers.reference_produce(sigma, last, field)
         cases.append((alphabet, clauses, compile_clauses(alphabet, clauses, with_pi=True)))
     # the same folds with the reference in place of the kernel
-    monkeypatch.setattr("pabr.consequence.produce", helpers.reference_produce)
+    monkeypatch.setattr("pabr.consequence.produce", helpers.reference_produce_masks)
     for alphabet, clauses, state in cases:
         assert compile_clauses(alphabet, clauses, with_pi=True) == state
 
@@ -161,6 +168,10 @@ def _random_antichain(rng, symbols):
     clauses = _messy_clauses(rng, symbols, rng.randint(0, 6))
     clauses += [Clause.of(Literal(s, rng.random() < 0.5)) for s in rng.sample(symbols, 1)]
     return mu_minimize(clauses)
+
+
+def masks(clauses):
+    return frozenset(c.mask for c in clauses)
 
 
 def test_union_equals_mu_minimize_of_the_merged_antichains():
@@ -176,8 +187,9 @@ def test_union_equals_mu_minimize_of_the_merged_antichains():
             fresh = mu_minimize(fresh | set(rng.sample(sorted(old, key=len), 1)))
         saw_equal |= bool(old & fresh)
         saw_empty |= EMPTY_CLAUSE in old | fresh
-        assert _union(old, fresh) == mu_minimize(old | fresh)
-        assert _union(fresh, old) == mu_minimize(old | fresh)
+        want = masks(mu_minimize(old | fresh))
+        assert _union(masks(old), masks(fresh)) == want
+        assert _union(masks(fresh), masks(old)) == want
     assert saw_equal and saw_empty
 
 
@@ -332,7 +344,7 @@ def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
     unit = helpers.clause((p, False))
     state = extend(state, unit)
     state = extend(state, helpers.clause((p, True), (p, False)))
-    assert calls == [helpers.clause((a1, False), (p, True)), unit]
+    assert calls == [helpers.clause((a1, False), (p, True)).mask, unit.mask]
     assert len(state.processed) == 3
 
 
@@ -391,3 +403,139 @@ def test_snapshot_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_snapshot("[processed]\n", alphabet)
     assert "carc" in str(err.value)
+
+
+# --- mask reader and writer against the Clause-level references -----------------
+
+
+def _random_state(rng, with_pi):
+    alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 3), rng.randint(1, 3))
+    clauses = _messy_clauses(rng, list(alphabet.symbols), rng.randint(0, 6))
+    return alphabet, compile_clauses(alphabet, clauses, with_pi=with_pi)
+
+
+def _spelled(rng, clause):
+    """A clause line in one of the spellings the clause parser accepts."""
+    if clause.is_empty:
+        return rng.choice(["<empty>", " <empty>", "<empty>\t"])
+    words = []
+    for lit in clause.sorted_literals:
+        sign = "" if lit.positive else rng.choice(["-", "!", "- ", "!  ", "-\t"])
+        words.append(sign + lit.symbol.name)
+        if rng.random() < 0.15:
+            words.append(words[-1])  # a | a
+    rng.shuffle(words)
+    seps = [rng.choice(["|", " | ", "|  ", "\t|", " |"]) for _ in words[1:]]
+    line = words[0] + "".join(sep + word for sep, word in zip(seps, words[1:]))
+    return rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "  "])
+
+
+def _respell(rng, text, alphabet):
+    """Snapshot text with every clause line respelled and comments, blanks added."""
+    out = []
+    for line in text.splitlines():
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "# a comment", "  # -a1 | zz"]))
+        if line.startswith("["):
+            out.append(line)
+        else:
+            section = helpers.reference_parse_snapshot("[carc]\n" + line + "\n", alphabet)
+            out.append(_spelled(rng, section["carc"][0]))
+    return "\n".join(out) + "\n"
+
+
+def _masks_of(sections, name):
+    return [c.mask for c in sections[name]]
+
+
+def test_mask_reader_matches_the_clause_reader_on_valid_variants():
+    rng = random.Random(3141)
+    saw = set()
+    for _ in range(150):
+        alphabet, state = _random_state(rng, with_pi=rng.random() < 0.5)
+        text = _respell(rng, snapshot_text(state), alphabet)
+        saw |= {tok for tok in ("!", "- ", "<empty>", "#") if tok in text}
+        ref = helpers.reference_parse_snapshot(text, alphabet)
+        got = parse_snapshot(text, alphabet)
+        assert got.carc_masks == frozenset(_masks_of(ref, "carc")) == state.carc_masks
+        assert got.processed_masks == tuple(_masks_of(ref, "processed")) == state.processed_masks
+        if "pi" in ref:
+            assert got.pi_masks == frozenset(_masks_of(ref, "pi")) == state.pi_masks
+        else:
+            assert got.pi_masks is None is state.pi_masks
+    assert saw == {"!", "- ", "<empty>", "#"}
+
+
+BAD_LINES = [
+    "a1 | 3x",
+    "a1 & a2",
+    "--a1",
+    "-",
+    "a1 |",
+    "| a1",
+    "a1 || -a2",
+    "  |  ",
+    "\t-a1 |  | a1",
+    "zz",
+    "-a1 | !zz",
+    "a1 | <empty>",
+    "[weird]",
+    "[carc",
+]
+
+
+def _error_of(parse, text, alphabet):
+    with pytest.raises(ParseError) as err:
+        parse(text, alphabet)
+    e = err.value
+    return type(e), str(e), e.line, e.column
+
+
+@pytest.mark.parametrize("bad", BAD_LINES)
+def test_mask_reader_raises_like_the_clause_reader(bad):
+    rng = random.Random(bad)
+    for _ in range(20):
+        alphabet, state = _random_state(rng, with_pi=rng.random() < 0.5)
+        lines = snapshot_text(state).splitlines()
+        lines.insert(rng.randint(1, len(lines)), bad)
+        text = "\n".join(lines) + "\n"
+        want = _error_of(helpers.reference_parse_snapshot, text, alphabet)
+        assert _error_of(parse_snapshot, text, alphabet) == want
+        assert want[2] == lines.index(bad) + 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-a1\n[carc]\n",  # clause before any section
+        "# comment\n\na1 | -a1\n",
+        "[carc]\n-a1\n[unknown]\n",
+        "[processed]\n-a1\n",  # missing [carc]
+    ],
+)
+def test_mask_reader_raises_like_the_clause_reader_on_bad_structure(text):
+    alphabet, _, _ = helpers.make_alphabet(1, 1)
+    want = _error_of(helpers.reference_parse_snapshot, text, alphabet)
+    assert _error_of(parse_snapshot, text, alphabet) == want
+
+
+def test_snapshot_text_matches_the_clause_rendering():
+    rng = random.Random(2024)
+    for _ in range(150):
+        alphabet, state = _random_state(rng, with_pi=rng.random() < 0.7)
+        want = helpers.reference_snapshot_text(state.carc, state.pi, state.processed)
+        assert snapshot_text(state) == want
+
+
+def test_clause_views_are_the_masks_through_the_alphabet():
+    rng = random.Random(1618)
+    for _ in range(60):
+        alphabet, state = _random_state(rng, with_pi=rng.random() < 0.5)
+        state = parse_snapshot(snapshot_text(state), alphabet)
+        assert state.carc == frozenset(map(alphabet.clause_of, state.carc_masks))
+        assert state.processed == tuple(map(alphabet.clause_of, state.processed_masks))
+        if state.pi_masks is None:
+            assert state.pi is None
+        else:
+            assert state.pi == frozenset(map(alphabet.clause_of, state.pi_masks))
+        assert state.carc is state.carc  # built once
