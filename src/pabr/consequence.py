@@ -246,8 +246,9 @@ def compile_clauses(
 #
 # A written snapshot starts with a fingerprint line: a SHA-256 over the
 # text of what it was compiled from (`source`, supplied by the caller) and
-# the section lines below it. A reader that knows the source checks it, so
-# a snapshot of other clauses or symbol kinds, or an edited one, is refused.
+# the section lines below it. The reader checks it against its own source,
+# so a snapshot of other clauses or symbol kinds, or an edited one, is
+# refused. `parse_snapshot` reads section text without that check.
 
 _EMPTY_TOKEN = "<empty>"
 _SECTIONS = ("carc", "pi", "processed")
@@ -267,12 +268,11 @@ def _canonical(masks: Iterable[int]) -> list[int]:
     return sorted(masks, key=lambda m: [b.bit_length() for b in bits(m)])
 
 
-def snapshot_text(state: CompiledState, source: str | None = None) -> str:
-    """Render a snapshot as sectioned text, one clause per line.
+def snapshot_text(state: CompiledState) -> str:
+    """Render a snapshot's sections as text, one clause per line.
 
     carc and pi are written in canonical order; the processed section keeps
-    insertion order because it is the fold history. With `source`, a
-    fingerprint line comes first.
+    insertion order because it is the fold history.
     """
     text_of_bit = state.field.alphabet.text_of_bit
     lines = ["[carc]"] + _clause_lines(_canonical(state.carc_masks), text_of_bit)
@@ -281,10 +281,7 @@ def snapshot_text(state: CompiledState, source: str | None = None) -> str:
         lines += _clause_lines(_canonical(state.pi_masks), text_of_bit)
     lines.append("[processed]")
     lines += _clause_lines(state.processed_masks, text_of_bit)
-    sections = "\n".join(lines) + "\n"
-    if source is None:
-        return sections
-    return f"{_FINGERPRINT}{fingerprint(source, sections)}\n{sections}"
+    return "\n".join(lines) + "\n"
 
 
 def _parsed_mask(raw: str, lineno: int, alphabet: Alphabet) -> int:
@@ -334,23 +331,25 @@ def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
     )
 
 
-def write_snapshot(state: CompiledState, path, source: str | None = None) -> None:
+def write_snapshot(state: CompiledState, path, source: str) -> None:
+    """Write a snapshot file: the fingerprint line over `source` and the
+    sections, then the sections."""
+    sections = snapshot_text(state)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(snapshot_text(state, source))
+        fh.write(f"{_FINGERPRINT}{fingerprint(source, sections)}\n{sections}")
 
 
-def read_snapshot(path, alphabet: Alphabet, source: str | None = None) -> CompiledState:
-    """Read a snapshot file; with `source`, refuse one whose fingerprint line
-    is missing or does not match `source` and the sections (StaleSnapshotError)."""
+def read_snapshot(path, alphabet: Alphabet, source: str) -> CompiledState:
+    """Read a snapshot file, refusing one whose fingerprint line is missing
+    or does not match `source` and the sections (StaleSnapshotError)."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    if source is not None:
-        header, _, sections = text.partition("\n")
-        if not header.startswith(_FINGERPRINT):
-            raise StaleSnapshotError(f"snapshot {path} has no fingerprint line; compile it again")
-        if header != _FINGERPRINT + fingerprint(source, sections):
-            raise StaleSnapshotError(
-                f"snapshot {path} was compiled from other declarations or clauses, "
-                "or edited since; compile it again"
-            )
+    header, _, sections = text.partition("\n")
+    if not header.startswith(_FINGERPRINT):
+        raise StaleSnapshotError(f"snapshot {path} has no fingerprint line; compile it again")
+    if header != _FINGERPRINT + fingerprint(source, sections):
+        raise StaleSnapshotError(
+            f"snapshot {path} was compiled from other declarations or clauses, "
+            "or edited since; compile it again"
+        )
     return parse_snapshot(text, alphabet)

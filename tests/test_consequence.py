@@ -359,8 +359,8 @@ def test_snapshot_round_trip_with_pi(tmp_path):
         with_pi=True,
     )
     path = tmp_path / "kb.snap"
-    write_snapshot(state, path)
-    assert read_snapshot(path, alphabet) == state
+    write_snapshot(state, path, "source")
+    assert read_snapshot(path, alphabet, "source") == state
 
 
 def test_snapshot_round_trip_without_pi():

@@ -54,6 +54,15 @@ def test_negate_clauses_rejects_propositions():
         negate_clauses([helpers.clause((a1, False), (p, True))])
 
 
+def test_state_with_a_proposition_literal_is_rejected():
+    # only a hand-made snapshot can put a proposition literal into carc
+    alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
+    state = consequence.parse_snapshot("[carc]\n-a1 | p1\n", alphabet)
+    kb = kb_of(alphabet, simple_table([a1]))
+    with pytest.raises(NonAssumptionLiteralError, match=f"proposition {p.name} "):
+        minimal_contradictions(kb, state)
+
+
 # --- minimal contradictions ------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 """Run the benchmark on two source trees in alternating order and compare medians.
 
     python3 tools/bench_pair.py --parent DIR [--change DIR] --seeds 1 2 3 4
-                                [--seconds 25] [--json FILE]
+                                [--seconds 25]
 
 For each seed, `perfbench/run.py --workload all` runs once in each tree,
 each from its own checkout (its own `perfbench/` and `src/`); the order
@@ -15,8 +15,7 @@ over the seeds, their ratio, on how many seeds the change was better, and
 the interquartile range of the parent's runs. A metric worse than its
 bound (relative to the parent's median, in the direction the metric calls
 worse) is flagged `WORSE`, and so is a run that was not correct. The exit
-code is 1 when anything was flagged. With `--json` every run's metrics are
-written there too.
+code is 1 when anything was flagged.
 
 Only the standard library is used; `BENCHMARK.json` and `perfbench/` are
 read and never written.
@@ -95,7 +94,6 @@ def main() -> int:
     parser.add_argument("--change", default=ROOT, help="checkout of the change (default: this tree)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--json", help="also write every run's results to this file")
     args = parser.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -106,9 +104,6 @@ def main() -> int:
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             print(f"seed {seed}: {side}", file=sys.stderr, flush=True)
             runs[side].append(run_tree(trees[side], seed, args.seconds))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"seeds": args.seeds, "trees": trees, "runs": runs}, fh, indent=1)
 
     lines, flagged = compare(runs, spec)
     print(f"medians over seeds {' '.join(map(str, args.seeds))}, ratio change/parent")
