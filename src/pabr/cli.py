@@ -4,12 +4,15 @@
     pabr query   <kb> -q "<formula>" [--method M] [--l N] [--snapshot SNAP]
     pabr check   <kb>
 
-Exit codes: 0 success (check: consistent), 1 check found contradictions or
-an enumeration limit or work budget was hit, 2 parse errors,
-unreadable/unwritable files, or a snapshot whose fingerprint line does not
-match the knowledge base and its own sections (compiled from other
-declarations or clauses, edited, or written without one), 3 total
-inconsistency, 4 bounds precondition violated.
+Exit codes: 0 success (check: consistent); `check` also returns 1 when it
+finds contradicting assumption sets and 3 when the knowledge is
+inconsistent without any. The commands catch nothing: `main` alone maps a
+failure to its exit code through `_EXIT_CODES` and prints `error:
+<message>` on stderr. 1 an enumeration limit or work budget was hit, 3
+total inconsistency, 4 bounds precondition violated, 2 any other package
+error (a parse error, a snapshot whose fingerprint line is missing or does
+not match, snapshot contents no query can read) or a file that cannot be
+read, decoded or written.
 Query formulas may nest to any depth.
 Query output is a single JSON object, byte-identical across runs for
 identical inputs; probabilities carry 12 significant digits.
@@ -25,8 +28,7 @@ from . import consequence, kbfile, oracle, probability, support
 from .errors import (
     BoundsPreconditionError,
     EnumerationLimitError,
-    ParseError,
-    StaleSnapshotError,
+    PabrError,
     TotalInconsistencyError,
 )
 from .logic import Term, parse_formula
@@ -39,15 +41,14 @@ _METHODS = {
     "oracle": "oracle",
 }
 
-
-# Bad input text, files that cannot be opened, decoded or written, and
-# snapshots that do not belong to the knowledge base.
-_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError, StaleSnapshotError)
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# The exit code of a failure that reaches `main`: the first row whose
+# exception class matches. The last row lists everything `main` catches.
+_EXIT_CODES = (
+    (EnumerationLimitError, 1),
+    (TotalInconsistencyError, 3),
+    (BoundsPreconditionError, 4),
+    ((PabrError, OSError, UnicodeDecodeError), 2),
+)
 
 
 def _round12(x: float) -> float:
@@ -62,15 +63,6 @@ def _terms_json(terms) -> list[list[str]]:
     return [_term_json(t) for t in sorted(terms, key=lambda t: t.sort_key)]
 
 
-def _snapshot_source(kb) -> str:
-    """What a snapshot's fingerprint covers of the knowledge base: its
-    declarations (names and kinds, not probabilities) and its distinct
-    `clause` lines, all sorted, so reordered or repeated lines keep it."""
-    declarations = sorted((s.name, s.kind) for s in kb.alphabet.symbols)
-    clauses = {"clause " + " | ".join(sorted(map(str, c.literals))) for c in kb.sigma_k}
-    return "\n".join([f"{name} {kind}" for name, kind in declarations] + sorted(clauses))
-
-
 def _load_state(args, kb) -> consequence.CompiledState:
     """Snapshot if given, else a fresh fold of the stable knowledge; then the facts.
 
@@ -78,7 +70,7 @@ def _load_state(args, kb) -> consequence.CompiledState:
     declarations and `clause` lines and of its own sections.
     """
     if args.snapshot:
-        state = consequence.read_snapshot(args.snapshot, kb.alphabet, _snapshot_source(kb))
+        state = consequence.read_snapshot(args.snapshot, kb.alphabet, kb.sigma_k)
     else:
         state = consequence.compile_clauses(kb.alphabet, kb.sigma_k)
     for clause in kb.sigma_f:
@@ -87,19 +79,12 @@ def _load_state(args, kb) -> consequence.CompiledState:
 
 
 def cmd_compile(args) -> int:
-    try:
-        doc = kbfile.parse_kb_file(args.kb)
-        kb, _table = kbfile.build_kb(doc)
-    except _INPUT_ERRORS as err:
-        return _fail(str(err), 2)
+    kb, _table = kbfile.build_kb(kbfile.parse_kb_file(args.kb))
     state = consequence.compile_clauses(kb.alphabet, kb.sigma_k, with_pi=args.pi)
     if state.is_plainly_inconsistent:
-        return _fail("knowledge clauses are inconsistent without any assumptions", 3)
+        raise TotalInconsistencyError("knowledge clauses are inconsistent without any assumptions")
     out = args.out or (args.kb + ".snap")
-    try:
-        consequence.write_snapshot(state, out, _snapshot_source(kb))
-    except OSError as err:
-        return _fail(str(err), 2)
+    consequence.write_snapshot(state, out)
     summary = (
         f"compiled {len(kb.sigma_k)} clause(s): "
         f"{len(state.carc_masks)} characteristic clause(s)"
@@ -112,38 +97,24 @@ def cmd_compile(args) -> int:
 
 
 def cmd_query(args) -> int:
-    try:
-        doc = kbfile.parse_kb_file(args.kb)
-        kb, table = kbfile.build_kb(doc)
-        hypothesis = parse_formula(args.query, kb.alphabet)
-        state = _load_state(args, kb)
-        sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
-    except _INPUT_ERRORS as err:
-        return _fail(str(err), 2)
+    kb, table = kbfile.build_kb(kbfile.parse_kb_file(args.kb))
+    hypothesis = parse_formula(args.query, kb.alphabet)
+    state = _load_state(args, kb)
+    sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
     method = _METHODS[args.method]
-    try:
-        if method == "oracle":
-            model = oracle.build_hint(kb, table)
-            qs_prob, contra_prob, sp = oracle.oracle_support(model, hypothesis)
-            report = probability.SupportReport(
-                hypothesis=hypothesis,
-                mqs=sets.mqs,
-                mc=sets.mc,
-                qs_prob=qs_prob,
-                contra_prob=contra_prob,
-                support=sp,
-                method="oracle",
-            )
-        else:
-            report = probability.evaluate(
-                sets, table, method=method, l=args.l, hypothesis=hypothesis
-            )
-    except TotalInconsistencyError as err:
-        return _fail(str(err), 3)
-    except BoundsPreconditionError as err:
-        return _fail(str(err), 4)
-    except EnumerationLimitError as err:
-        return _fail(str(err), 1)
+    if method == "oracle":
+        qs_prob, contra_prob, sp = oracle.oracle_support(oracle.build_hint(kb), hypothesis)
+        report = probability.SupportReport(
+            hypothesis=hypothesis,
+            mqs=sets.mqs,
+            mc=sets.mc,
+            qs_prob=qs_prob,
+            contra_prob=contra_prob,
+            support=sp,
+            method="oracle",
+        )
+    else:
+        report = probability.evaluate(sets, table, method=method, l=args.l, hypothesis=hypothesis)
     payload = {
         "hypothesis": args.query,
         "mqs": _terms_json(report.mqs),
@@ -160,11 +131,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        doc = kbfile.parse_kb_file(args.kb)
-        kb, _table = kbfile.build_kb(doc)
-    except _INPUT_ERRORS as err:
-        return _fail(str(err), 2)
+    kb, _table = kbfile.build_kb(kbfile.parse_kb_file(args.kb))
     mc = support.minimal_contradictions(kb)
     if any(t.is_empty for t in mc):
         print("inconsistent without any assumptions")
@@ -210,7 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _EXIT_CODES[-1][0] as err:
+        print(f"error: {err}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
 
 
 if __name__ == "__main__":

@@ -245,10 +245,11 @@ def compile_clauses(
 # --- snapshot files ----------------------------------------------------------
 #
 # A written snapshot starts with a fingerprint line: a SHA-256 over the
-# text of what it was compiled from (`source`, supplied by the caller) and
-# the section lines below it. The reader checks it against its own source,
-# so a snapshot of other clauses or symbol kinds, or an edited one, is
-# refused. `parse_snapshot` reads section text without that check.
+# text of what it was compiled from (`_source`: the alphabet and the
+# folded clauses) and the section lines below it. The reader checks it
+# against the knowledge clauses it is given, so a snapshot of other clauses
+# or symbol kinds, or an edited one, is refused. `parse_snapshot` reads
+# section text without that check.
 
 _EMPTY_TOKEN = "<empty>"
 _SECTIONS = ("carc", "pi", "processed")
@@ -257,6 +258,17 @@ _FINGERPRINT = "# fingerprint sha256 "
 
 def fingerprint(source: str, sections: str) -> str:
     return sha256(f"{source}\n{sections}".encode()).hexdigest()
+
+
+def _source(alphabet: Alphabet, masks: Iterable[int]) -> str:
+    """What a fingerprint covers of the knowledge: the declarations (names
+    and kinds, not probabilities), then the distinct clauses as `clause`
+    lines with their literals sorted as text, each part sorted, so
+    reordered, repeated or respelled lines keep it."""
+    text_of_bit = alphabet.text_of_bit
+    declarations = sorted((s.name, s.kind) for s in alphabet.symbols)
+    clauses = {"clause " + " | ".join(sorted(text_of_bit[b] for b in bits(m))) for m in masks}
+    return "\n".join([f"{name} {kind}" for name, kind in declarations] + sorted(clauses))
 
 
 def _clause_lines(masks: Iterable[int], text_of_bit: dict[int, str]) -> list[str]:
@@ -331,22 +343,25 @@ def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
     )
 
 
-def write_snapshot(state: CompiledState, path, source: str) -> None:
-    """Write a snapshot file: the fingerprint line over `source` and the
-    sections, then the sections."""
+def write_snapshot(state: CompiledState, path) -> None:
+    """Write a snapshot file: the fingerprint line over the state's
+    alphabet, its processed clauses and the sections, then the sections."""
     sections = snapshot_text(state)
+    source = _source(state.field.alphabet, state.processed_masks)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_FINGERPRINT}{fingerprint(source, sections)}\n{sections}")
 
 
-def read_snapshot(path, alphabet: Alphabet, source: str) -> CompiledState:
+def read_snapshot(path, alphabet: Alphabet, clauses: Iterable[Clause]) -> CompiledState:
     """Read a snapshot file, refusing one whose fingerprint line is missing
-    or does not match `source` and the sections (StaleSnapshotError)."""
+    or does not match `alphabet`, the knowledge `clauses` and the sections
+    (StaleSnapshotError)."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     header, _, sections = text.partition("\n")
     if not header.startswith(_FINGERPRINT):
         raise StaleSnapshotError(f"snapshot {path} has no fingerprint line; compile it again")
+    source = _source(alphabet, (c.mask for c in clauses))
     if header != _FINGERPRINT + fingerprint(source, sections):
         raise StaleSnapshotError(
             f"snapshot {path} was compiled from other declarations or clauses, "

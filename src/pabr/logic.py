@@ -74,9 +74,6 @@ class Alphabet:
         except KeyError:
             raise UndeclaredSymbolError(f"undeclared identifier: {name}") from None
 
-    def get(self, name: str) -> Symbol | None:
-        return self._by_name.get(name)
-
     def clause_of(self, mask: int) -> Clause:
         """The clause whose literal bits are `mask`."""
         return Clause(self.literals_of(mask))
@@ -93,18 +90,11 @@ class Alphabet:
         return tuple(self._by_name.values())
 
     @property
-    def propositions(self) -> tuple[Symbol, ...]:
-        return tuple(s for s in self._by_name.values() if s.kind == PROPOSITION)
-
-    @property
     def assumptions(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self._by_name.values() if s.kind == ASSUMPTION)
 
     def __len__(self):
         return len(self._by_name)
-
-    def __contains__(self, name: str):
-        return name in self._by_name
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 from .errors import EnumerationLimitError, TotalInconsistencyError
 from .logic import Clause, Formula, Symbol, Term, clause_value, formula_value
-from .probability import AssumptionTable
 from .support import KnowledgeBase
 
 DEFAULT_SYMBOL_LIMIT = 20
@@ -45,18 +44,13 @@ def _projection(indices: Sequence[int]) -> Callable[[tuple[int, ...]], Configura
     return itemgetter(*indices)
 
 
-def build_hint(
-    kb: KnowledgeBase,
-    table: AssumptionTable | None = None,
-    limit: int = DEFAULT_SYMBOL_LIMIT,
-) -> HintModel:
+def build_hint(kb: KnowledgeBase, limit: int = DEFAULT_SYMBOL_LIMIT) -> HintModel:
     """Enumerate all interpretations and group the satisfying ones.
 
     Every assumption configuration appears in gamma, possibly with an empty
     interpretation tuple; omega is the subset with at least one model.
     """
-    if table is None:
-        table = kb.assumptions
+    table = kb.assumptions
     symbols = kb.alphabet.symbols
     if len(symbols) > limit:
         raise EnumerationLimitError(

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabr.cli import _snapshot_source, main
-from pabr.consequence import read_snapshot
+from pabr import errors
+from pabr.cli import main
+from pabr.consequence import fingerprint, read_snapshot
 from pabr.kbfile import build_kb, parse_kb_text
 
 import helpers
@@ -57,7 +58,7 @@ def test_compile_burglar_snapshot_is_trivial(kb_path, capsys):
     assert code == 0 and err == ""
     assert "snapshot written" in out
     kb, _table = build_kb(parse_kb_text(helpers.BURGLAR_TEXT))
-    state = read_snapshot(path + ".snap", kb.alphabet, _snapshot_source(kb))
+    state = read_snapshot(path + ".snap", kb.alphabet, kb.sigma_k)
     # R1-R3 alone admit every configuration, so only the seeds survive
     assert all(c.is_tautology for c in state.carc)
     assert len(state.carc) == 2
@@ -70,7 +71,7 @@ def test_compile_custom_output_and_derived_clause(kb_path, tmp_path, capsys):
     code, out, _err = run(capsys, "compile", path, "-o", out_path)
     assert code == 0
     kb, _table = build_kb(parse_kb_text(text))
-    state = read_snapshot(out_path, kb.alphabet, _snapshot_source(kb))
+    state = read_snapshot(out_path, kb.alphabet, kb.sigma_k)
     a1 = kb.alphabet.lookup("a1")
     assert helpers.clause((a1, False)) in state.carc
 
@@ -117,10 +118,15 @@ def test_query_burglar_golden(kb_path, capsys):
     }
 
 
-def test_query_readme_burglar_example_prints_the_documented_line(kb_path, capsys):
+def _readme_kb_text():
     readme = README.read_text()
     kb_text = readme.split("A knowledge base file (`alarm.pabr`):\n\n```\n", 1)[1]
-    path = kb_path(kb_text.split("```", 1)[0], name="alarm.pabr")
+    return kb_text.split("```", 1)[0]
+
+
+def test_query_readme_burglar_example_prints_the_documented_line(kb_path, capsys):
+    readme = README.read_text()
+    path = kb_path(_readme_kb_text(), name="alarm.pabr")
     documented = readme.split("$ pabr query alarm.pabr -q burglary\n", 1)[1].splitlines()[0]
     code, out, err = run(capsys, "query", path, "-q", "burglary")
     assert code == 0 and err == ""
@@ -259,6 +265,74 @@ def test_query_accepts_a_snapshot_of_the_same_clauses(kb_path, capsys, edit, fla
     _, direct, _ = run(capsys, "query", path, "-q", "p")
     code, snapped, err = run(capsys, "query", path, "-q", "p", "--snapshot", path + ".snap")
     assert code == 0 and err == "" and snapped == direct
+
+
+# What `compile` wrote for the README burglar KB when the fingerprint line
+# was introduced. The fingerprint bytes are part of the file format: a
+# snapshot written then must keep being accepted.
+README_SNAPSHOTS = {
+    "plain": """\
+# fingerprint sha256 83ff67d93c64d5ada24ed1df4a39d469a9c56c8eafd43e79073fcf54a65f5f8c
+[carc]
+a1 | -a1
+a2 | -a2
+[processed]
+-a1 | -burglary | alarm
+-a1 | -a2 | alarm
+a2 | burglary | -alarm
+""",
+    "pi": """\
+# fingerprint sha256 70af856808fe758ceace64e6ad95a454cecb72a7b53c5f30fa28bc4842cfbf40
+[carc]
+a1 | -a1
+a2 | -a2
+[pi]
+a1 | -a1
+-a1 | -a2 | alarm
+-a1 | -burglary | alarm
+a2 | -a2
+a2 | burglary | -alarm
+burglary | -burglary
+alarm | -alarm
+[processed]
+-a1 | -burglary | alarm
+-a1 | -a2 | alarm
+a2 | burglary | -alarm
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(README_SNAPSHOTS))
+def test_readme_snapshot_is_byte_stable_and_accepted(kb_path, tmp_path, capsys, kind):
+    path = kb_path(_readme_kb_text(), name="alarm.pabr")
+    out_path = tmp_path / "alarm.snap"
+    flags = ("--pi",) if kind == "pi" else ()
+    assert run(capsys, "compile", path, "-o", str(out_path), *flags)[0] == 0
+    assert out_path.read_text() == README_SNAPSHOTS[kind]
+    stored = tmp_path / "stored.snap"
+    stored.write_text(README_SNAPSHOTS[kind])
+    _, direct, _ = run(capsys, "query", path, "-q", "burglary")
+    code, snapped, err = run(capsys, "query", path, "-q", "burglary", "--snapshot", str(stored))
+    assert code == 0 and err == "" and snapped == direct
+
+
+def test_query_on_a_resigned_snapshot_with_a_proposition_literal_exits_2(kb_path, capsys):
+    # a forged [carc] line with a correct fingerprint gets past the check;
+    # reading quasi-supports off it fails and must not end in a traceback
+    path = kb_path(TWO_CAUSES)
+    assert run(capsys, "compile", path)[0] == 0
+    snap = pathlib.Path(path + ".snap")
+    _, sections = snap.read_text().split("\n", 1)
+    sections = sections.replace("[carc]\n", "[carc]\n-a1 | p\n", 1)
+    # the fingerprinted text of TWO_CAUSES, as the README describes it
+    source = (
+        "a1 assumption\na2 assumption\np proposition\n"
+        "clause -a1 | p\nclause -a2 | -p"
+    )
+    snap.write_text(f"# fingerprint sha256 {fingerprint(source, sections)}\n{sections}")
+    code, out, err = run(capsys, "query", path, "-q", "p", "--snapshot", str(snap))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "proposition p" in err
 
 
 @pytest.mark.parametrize("method", ["auto", "oracle"])
@@ -462,6 +536,43 @@ def test_check_parse_error(kb_path, capsys):
     assert code == 2 and "q" in err
 
 
+# --- exit codes ------------------------------------------------------------------
+
+
+def _error_types(root):
+    found = [root]
+    for sub in root.__subclasses__():
+        found += _error_types(sub)
+    return found
+
+
+EXIT_CODES = {
+    errors.EnumerationLimitError: 1,
+    errors.TotalInconsistencyError: 3,
+    errors.BoundsPreconditionError: 4,
+}
+RAISED = {cls: cls("injected failure") for cls in _error_types(errors.PabrError)}
+RAISED[OSError] = OSError("injected failure")
+RAISED[UnicodeDecodeError] = UnicodeDecodeError("utf-8", b"\xe9", 0, 1, "injected failure")
+
+
+@pytest.mark.parametrize("error_type", list(RAISED), ids=lambda cls: cls.__name__)
+def test_every_failure_maps_to_its_exit_code(kb_path, capsys, monkeypatch, error_type):
+    # every package error, wherever a command raises it, gets an exit code
+    # and an error line instead of a traceback
+    def fail(*args, **kwargs):
+        raise RAISED[error_type]
+
+    monkeypatch.setattr("pabr.support.minimal_quasi_supports", fail)
+    path = kb_path(helpers.BURGLAR_TEXT)
+    expected = next(
+        (code for cls, code in EXIT_CODES.items() if issubclass(error_type, cls)), 2
+    )
+    code, out, err = run(capsys, "query", path, "-q", "burglary")
+    assert code == expected and out == ""
+    assert err == f"error: {RAISED[error_type]}\n"
+
+
 # --- files -----------------------------------------------------------------------
 
 
@@ -602,19 +713,28 @@ def test_cli_fuzz_returns_a_documented_exit_code(
     kb_text, with_pi, use_snapshot, edit, query, method, l
 ):
     # arbitrary KB, snapshot and query text: cli.main returns an exit code
-    # of 0-4 and raises nothing
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "kb.pabr")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(kb_text)
-        code, _, _ = _quiet_main(["compile", path] + ["--pi"] * with_pi)
-        assert code in range(5)
-        argv = ["query", path, f"--query={query}", "--method", method, "--l", str(l)]
-        if use_snapshot:
-            if edit is not None and os.path.exists(path + ".snap"):
-                _edit_snapshot(path + ".snap", edit)
-            argv += ["--snapshot", path + ".snap"]
-        code, out, err = _quiet_main(argv)
+    # of 0-4 and raises nothing, and the two calls stay within the
+    # benchmark's per-op budgets of 2 s and 32 MB
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "kb.pabr")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(kb_text)
+            code, _, _ = _quiet_main(["compile", path] + ["--pi"] * with_pi)
+            assert code in range(5)
+            argv = ["query", path, f"--query={query}", "--method", method, "--l", str(l)]
+            if use_snapshot:
+                if edit is not None and os.path.exists(path + ".snap"):
+                    _edit_snapshot(path + ".snap", edit)
+                argv += ["--snapshot", path + ".snap"]
+            code, out, err = _quiet_main(argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2 and peak < 32 * 2**20
     assert code in range(5)
     if code == 0:
         assert set(json.loads(out)) >= {"hypothesis", "mqs", "mc", "support", "method"}

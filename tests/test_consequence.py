@@ -353,14 +353,11 @@ def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
 
 def test_snapshot_round_trip_with_pi(tmp_path):
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
-    state = compile_clauses(
-        alphabet,
-        [helpers.clause((a1, False), (p, True)), helpers.clause((p, False))],
-        with_pi=True,
-    )
+    clauses = [helpers.clause((a1, False), (p, True)), helpers.clause((p, False))]
+    state = compile_clauses(alphabet, clauses, with_pi=True)
     path = tmp_path / "kb.snap"
-    write_snapshot(state, path, "source")
-    assert read_snapshot(path, alphabet, "source") == state
+    write_snapshot(state, path)
+    assert read_snapshot(path, alphabet, clauses) == state
 
 
 def test_snapshot_round_trip_without_pi():

@@ -12,12 +12,11 @@ the 20- and 24-link ones included.
 
 For each op one block is printed: workload, op number, the argv with paths
 cut to their basenames, the exit code, stdout and stderr with the work
-directory masked, and for a compile a hash of the snapshot it wrote. The
-hash covers the snapshot's section lines and skips `#` lines, so the
-fingerprint line does not mark every compile as changed between a tree that
-writes it and one that does not, or one that fingerprints other text. Running the script once against each of
-two source trees and `diff`ing the outputs shows every op whose answer
-changed.
+directory masked, and for a compile a hash of the whole snapshot file it
+wrote, fingerprint line included, so a change to what the fingerprint
+covers shows as well as a changed answer. Running the script once against
+each of two source trees and `diff`ing the outputs shows every op whose
+output changed.
 """
 
 from __future__ import annotations
@@ -57,15 +56,14 @@ def run_op(main, argv: list[str]) -> tuple[object, str, str]:
 
 
 def snapshot_hash(argv: list[str]) -> str | None:
-    """Hash of the written snapshot's lines, `#` lines (its fingerprint) left out."""
+    """Hash of the whole written snapshot file, its fingerprint line included."""
     if argv[0] != "compile":
         return None
     path = argv[argv.index("-o") + 1]
     if not os.path.exists(path):
         return "missing"
     with open(path, "rb") as fh:
-        kept = [line for line in fh if not line.startswith(b"#")]
-    return hashlib.sha256(b"".join(kept)).hexdigest()[:16]
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def replay(main, name: str, n_ops: int, seed: int, workdir: str) -> None:
