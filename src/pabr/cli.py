@@ -105,7 +105,6 @@ def cmd_query(args) -> int:
     if method == "oracle":
         qs_prob, contra_prob, sp = oracle.oracle_support(oracle.build_hint(kb), hypothesis)
         report = probability.SupportReport(
-            hypothesis=hypothesis,
             mqs=sets.mqs,
             mc=sets.mc,
             qs_prob=qs_prob,
@@ -114,7 +113,7 @@ def cmd_query(args) -> int:
             method="oracle",
         )
     else:
-        report = probability.evaluate(sets, table, method=method, l=args.l, hypothesis=hypothesis)
+        report = probability.evaluate(sets, table, method=method, l=args.l)
     payload = {
         "hypothesis": args.query,
         "mqs": _terms_json(report.mqs),

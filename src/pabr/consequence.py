@@ -1,9 +1,10 @@
 """Consequence finding restricted to a clause field, with incremental snapshots.
 
 The central object is the set of minimal implicates of a clause set that
-fall inside a production field (a subsumption-stable clause language).
-Two fields matter here: clauses over assumption symbols only, and the
-unrestricted field whose minimal implicates are the prime implicates.
+fall inside a production field (a subsumption-stable clause language,
+given by the literal bits its members may not carry). Two fields matter
+here: clauses over assumption symbols only, and the unrestricted field
+whose minimal implicates are the prime implicates.
 `extend` folds knowledge, facts and a query's negated hypothesis alike:
 into the prime implicates when the state tracks them, reading the
 assumption-only set off them (the field is subsumption-stable, so its
@@ -26,7 +27,7 @@ the old one by `_union`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -54,48 +55,32 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-ASSUMPTION_ONLY = "assumption_only"
-ALL_CLAUSES = "all_clauses"
-
-
 @dataclass(frozen=True)
 class ProductionField:
     """A subsumption-stable clause language over one alphabet.
 
-    `outside` holds the bits no member may carry: the complement of the
-    assumption literals' bits, or nothing for the unrestricted field.
+    `outside` holds the literal bits no member may carry: the complement of
+    the assumption literals' bits, or nothing for the unrestricted field.
     """
 
-    kind: str
     alphabet: Alphabet
-    outside: int = dataclass_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in (ASSUMPTION_ONLY, ALL_CLAUSES):
-            raise ValueError(f"unknown field kind: {self.kind!r}")
-        outside = 0
-        if self.kind == ASSUMPTION_ONLY:
-            outside = ~sum(self.seed_masks())
-        object.__setattr__(self, "outside", outside)
+    outside: int
 
     @classmethod
     def assumption_only(cls, alphabet: Alphabet) -> ProductionField:
-        return cls(ASSUMPTION_ONLY, alphabet)
+        return cls(alphabet, ~sum(3 << 2 * s.index for s in alphabet.assumptions))
 
     @classmethod
     def all_clauses(cls, alphabet: Alphabet) -> ProductionField:
-        return cls(ALL_CLAUSES, alphabet)
+        return cls(alphabet, 0)
 
     def contains(self, clause: Clause) -> bool:
         return not clause.mask & self.outside
 
     def seed_masks(self) -> frozenset[int]:
         """Tautologies inside the field, s | -s per symbol: the minimal implicates of nothing."""
-        if self.kind == ASSUMPTION_ONLY:
-            symbols = self.alphabet.assumptions
-        else:
-            symbols = self.alphabet.symbols
-        return frozenset(3 << 2 * s.index for s in symbols)
+        pairs = (3 << 2 * i for i in range(len(self.alphabet)))
+        return frozenset(m for m in pairs if not m & self.outside)
 
     def seed_clauses(self) -> frozenset[Clause]:
         return frozenset(map(self.alphabet.clause_of, self.seed_masks()))
@@ -106,10 +91,10 @@ def produce(sides: Sequence[int], clause: int, field: ProductionField) -> list[i
 
     A given-clause loop on bitmasks: each clause popped from the agenda is
     dropped when a kept clause subsumes it; otherwise it is kept, the kept
-    clauses it subsumes are dropped, and its resolvents with the side
-    clauses `sides` and with every kept clause (so ancestor steps are
-    covered) join the agenda unless a kept or pending clause subsumes
-    them. Tautologies never enter. The kept clauses stay pairwise
+    clauses it subsumes are dropped, and each resolvent it has with a side
+    clause in `sides` or with a kept clause (so ancestor steps are
+    covered) joins the agenda unless a kept or pending clause subsumes
+    it. Tautologies never enter. The kept clauses stay pairwise
     incomparable, so the field members among them are mu-minimal. Merged
     with the previous minimal field implicates of `sides` by `_union` they
     yield the minimal field implicates of the sides plus `clause`.

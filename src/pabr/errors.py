@@ -45,10 +45,6 @@ class StaleSnapshotError(PabrError):
     """A snapshot was compiled from other clauses than the knowledge base's."""
 
 
-class PivotError(PabrError):
-    """Resolution was requested on a symbol that is not complementary in the parents."""
-
-
 class NonAssumptionLiteralError(PabrError):
     """A clause-to-term conversion hit a literal over a proposition symbol."""
 

@@ -15,7 +15,8 @@ asserts the empty clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .errors import ParseError
 from .logic import (
@@ -24,6 +25,7 @@ from .logic import (
     PROPOSITION,
     Alphabet,
     RawClause,
+    literal_columns,
     parse_clause_body,
     resolve_clause,
 )
@@ -41,7 +43,15 @@ class KbDocument:
     facts: tuple[RawClause, ...] = ()
 
 
+def _check_new_name(name: str, declared: set[str], lineno: int, column: int) -> None:
+    if not IDENT_RE.fullmatch(name):
+        raise ParseError(f"malformed name {name!r}", line=lineno, column=column)
+    if name in declared:
+        raise ParseError(f"symbol declared twice: {name}", line=lineno, column=column)
+
+
 def parse_kb_text(text: str) -> KbDocument:
+    """Parse knowledge base text; errors carry the offending token's line and column."""
     assumptions: list[tuple[str, float]] = []
     propositions: list[str] = []
     knowledge: list[RawClause] = []
@@ -50,57 +60,49 @@ def parse_kb_text(text: str) -> KbDocument:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         stripped = line.lstrip()
-        indent = len(line) - len(stripped)
-        parts = stripped.split(None, 1)
-        keyword = parts[0]
-        body = parts[1] if len(parts) > 1 else ""
-        body_offset = indent + len(keyword) + (line[indent + len(keyword):].index(body[:1]) if body else 1)
+        if not stripped:
+            continue
+        keyword, *rest = stripped.split(None, 1)
+        column = len(line) - len(stripped) + 1
+        body = rest[0] if rest else ""
+        body_offset = len(line) - len(body) if body else column + len(keyword)
 
-        if keyword == "assumption":
-            tokens = body.split()
-            if len(tokens) != 2:
-                raise ParseError(
-                    "expected: assumption <name> <probability>", line=lineno, column=indent + 1
-                )
-            name, prob_text = tokens
-            if not IDENT_RE.fullmatch(name):
-                raise ParseError(f"malformed name {name!r}", line=lineno, column=body_offset + 1)
-            if name in declared:
-                raise ParseError(f"symbol declared twice: {name}", line=lineno, column=body_offset + 1)
+        if keyword in ("clause", "fact"):
+            clause = parse_clause_body(body, lineno, body_offset)
+            for i, (_, name) in enumerate(clause):
+                if name not in declared:
+                    at = literal_columns(body, body_offset)[i]
+                    raise ParseError(f"undeclared identifier: {name}", line=lineno, column=at)
+            (knowledge if keyword == "clause" else facts).append(clause)
+        elif keyword == "assumption":
+            words = body.split()
+            if len(words) != 2:
+                message = "expected: assumption <name> <probability>"
+                raise ParseError(message, line=lineno, column=column)
+            name, prob_text = words
+            _check_new_name(name, declared, lineno, body_offset + 1)
+            prob_column = body_offset + len(body) - len(prob_text) + 1
             try:
                 prob = float(prob_text)
             except ValueError:
-                raise ParseError(
-                    f"malformed probability {prob_text!r}", line=lineno, column=indent + 1
-                ) from None
+                message = f"malformed probability {prob_text!r}"
+                raise ParseError(message, line=lineno, column=prob_column) from None
             if not 0.0 <= prob <= 1.0:
-                raise ParseError(
-                    f"probability out of range: {prob_text}", line=lineno, column=indent + 1
-                )
+                message = f"probability out of range: {prob_text}"
+                raise ParseError(message, line=lineno, column=prob_column)
             declared.add(name)
             assumptions.append((name, prob))
         elif keyword == "prop":
-            names = body.split()
-            if not names:
-                raise ParseError("expected: prop <name> ...", line=lineno, column=indent + 1)
-            for name in names:
-                if not IDENT_RE.fullmatch(name):
-                    raise ParseError(f"malformed name {name!r}", line=lineno, column=indent + 1)
-                if name in declared:
-                    raise ParseError(f"symbol declared twice: {name}", line=lineno, column=indent + 1)
+            if not body:
+                raise ParseError("expected: prop <name> ...", line=lineno, column=column)
+            for word in re.finditer(r"\S+", body):
+                name = word.group()
+                _check_new_name(name, declared, lineno, body_offset + word.start() + 1)
                 declared.add(name)
                 propositions.append(name)
-        elif keyword in ("clause", "fact"):
-            clause = parse_clause_body(body, lineno, body_offset)
-            for negated, name in clause:
-                if name not in declared:
-                    raise ParseError(f"undeclared identifier: {name}", line=lineno, column=indent + 1)
-            (knowledge if keyword == "clause" else facts).append(clause)
         else:
-            raise ParseError(f"unknown line keyword {keyword!r}", line=lineno, column=indent + 1)
+            raise ParseError(f"unknown line keyword {keyword!r}", line=lineno, column=column)
 
     return KbDocument(
         assumptions=tuple(assumptions),

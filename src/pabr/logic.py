@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, PivotError, UndeclaredSymbolError
+from .errors import ParseError, UndeclaredSymbolError
 
 PROPOSITION = "proposition"
 ASSUMPTION = "assumption"
@@ -170,9 +170,6 @@ class _LiteralSet:
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(l.sort_key for l in self.sorted_literals)
 
-    def symbols(self) -> frozenset[Symbol]:
-        return frozenset(l.symbol for l in self.literals)
-
     def __len__(self):
         return len(self.literals)
 
@@ -282,31 +279,6 @@ def resolvent_mask(a: int, b: int, bit: int, even: int) -> int:
     return (a & ~swap(bit, even)) | (b & ~bit)
 
 
-def resolve(c1: Clause, c2: Clause, pivot: Symbol) -> Clause:
-    """Resolvent of two clauses on `pivot`.
-
-    The pivot must occur with opposite polarity in the parents; when it
-    does so both ways (tautological parents), `c1`'s positive literal is
-    resolved upon. The result may be tautological; detecting that is the
-    caller's job.
-    """
-    even = even_bits_of(c1.mask, c2.mask)
-    negative = Literal(pivot, False).bit
-    clash = swap(c1.mask, even) & c2.mask & (Literal(pivot, True).bit | negative)
-    if not clash:
-        raise PivotError(f"pivot {pivot.name} is not complementary in the parents")
-    r = resolvent_mask(c1.mask, c2.mask, clash & negative or clash, even)
-    return Clause(frozenset(l for l in c1.literals | c2.literals if l.bit & r))
-
-
-def resolvents(c1: Clause, c2: Clause) -> Iterator[Clause]:
-    """All resolvents of two clauses, one per complementary symbol, in index order."""
-    clash = swap(c1.mask, even_bits_of(c1.mask, c2.mask)) & c2.mask
-    pivots = {l.symbol.index: l.symbol for l in c2.sorted_literals if l.bit & clash}
-    for pivot in pivots.values():
-        yield resolve(c1, c2, pivot)
-
-
 # --- clause lines -----------------------------------------------------------
 
 RawLiteral = tuple[bool, str]  # (negated, name)
@@ -323,17 +295,25 @@ def parse_clause_body(body: str, lineno: int, offset: int = 0) -> RawClause:
     if not body.strip():
         return ()
     literals = []
-    column = offset + 1
-    for piece in body.split("|"):
+    for i, piece in enumerate(body.split("|")):
         token = piece.strip()
         negated = token[:1] in ("-", "!")
         name = token[1:].strip() if negated else token
         if not IDENT_RE.fullmatch(name):
             message = f"malformed literal {token!r}" if token else "empty literal"
-            raise ParseError(message, line=lineno, column=column + piece.find(token))
+            raise ParseError(message, line=lineno, column=literal_columns(body, offset)[i])
         literals.append((negated, name))
-        column += len(piece) + 1
     return tuple(literals)
+
+
+def literal_columns(body: str, offset: int = 0) -> list[int]:
+    """The 1-based column of each `|`-separated literal (or blank piece) of a clause body."""
+    columns = []
+    column = offset + 1
+    for piece in body.split("|"):
+        columns.append(column + piece.find(piece.strip()))
+        column += len(piece) + 1
+    return columns
 
 
 def resolve_clause(raw: RawClause, alphabet: Alphabet) -> Clause:

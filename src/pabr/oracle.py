@@ -3,8 +3,8 @@
 Completely independent of the symbolic engine: satisfying interpretations
 are grouped by their assumption configuration, each configuration gets the
 product prior, and hypothesis judgments reduce to set inclusion over the
-grouped interpretations. Exponential in the alphabet, so guarded by a size
-limit, and intended for cross-checking and small models only.
+grouped interpretations. Exponential in the alphabet, so guarded by
+`SYMBOL_LIMIT`, and intended for cross-checking and small models only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import EnumerationLimitError, TotalInconsistencyError
 from .logic import Clause, Formula, Symbol, Term, clause_value, formula_value
 from .support import KnowledgeBase
 
-DEFAULT_SYMBOL_LIMIT = 20
+SYMBOL_LIMIT = 20
 
 Configuration = tuple[int, ...]
 
@@ -28,7 +28,6 @@ Configuration = tuple[int, ...]
 class HintModel:
     """All configurations with their priors and admitted interpretations."""
 
-    assumptions: tuple[Symbol, ...]
     gamma: dict[Configuration, tuple[tuple[int, ...], ...]]
     prior: dict[Configuration, float]
     omega: frozenset[Configuration]
@@ -44,7 +43,7 @@ def _projection(indices: Sequence[int]) -> Callable[[tuple[int, ...]], Configura
     return itemgetter(*indices)
 
 
-def build_hint(kb: KnowledgeBase, limit: int = DEFAULT_SYMBOL_LIMIT) -> HintModel:
+def build_hint(kb: KnowledgeBase) -> HintModel:
     """Enumerate all interpretations and group the satisfying ones.
 
     Every assumption configuration appears in gamma, possibly with an empty
@@ -52,9 +51,9 @@ def build_hint(kb: KnowledgeBase, limit: int = DEFAULT_SYMBOL_LIMIT) -> HintMode
     """
     table = kb.assumptions
     symbols = kb.alphabet.symbols
-    if len(symbols) > limit:
+    if len(symbols) > SYMBOL_LIMIT:
         raise EnumerationLimitError(
-            f"{len(symbols)} symbols exceed the enumeration limit of {limit}"
+            f"{len(symbols)} symbols exceed the enumeration limit of {SYMBOL_LIMIT}"
         )
     assumption_syms = table.symbols
     project = _projection([s.index for s in assumption_syms])
@@ -76,7 +75,6 @@ def build_hint(kb: KnowledgeBase, limit: int = DEFAULT_SYMBOL_LIMIT) -> HintMode
         prior[config] = p
 
     return HintModel(
-        assumptions=tuple(assumption_syms),
         gamma={config: tuple(models) for config, models in gamma.items()},
         prior=prior,
         omega=frozenset(config for config, models in gamma.items() if models),

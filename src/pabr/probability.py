@@ -1,6 +1,7 @@
 """Probability of assumption-term unions and degrees of support.
 
-Terms over independent assumptions have product probabilities. A union of
+Terms over independent assumptions have product probabilities, read off
+one table of literal probabilities indexed by literal bit. A union of
 terms is computed exactly by memoized Shannon expansion (an ordered BDD of
 the union, Bryant 1986), inclusion-exclusion or a sum of disjoint products,
 and bracketed cheaply by truncated alternating sums. The degree of support
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     NonAssumptionLiteralError,
     TotalInconsistencyError,
 )
-from .logic import ASSUMPTION, Formula, Literal, Symbol, Term, bits, even_bits_of, swap
+from .logic import ASSUMPTION, Literal, Symbol, Term, bits, even_bits_of, swap
 
 if TYPE_CHECKING:
     from .support import SupportSets
@@ -41,21 +42,28 @@ ENUMERATION_BUDGET = 1 << 18
 
 @dataclass(frozen=True)
 class AssumptionTable:
-    """Ordered assumption symbols with their independent probabilities."""
+    """Ordered assumption symbols with their independent probabilities.
+
+    `bit_prob` maps each literal's mask bit to its probability: q at bit
+    2i for assumption i, 1.0 - q at bit 2i+1 for its negation.
+    """
 
     entries: tuple[tuple[Symbol, float], ...]
+    bit_prob: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        bit_prob: dict[int, float] = {}
         for sym, q in self.entries:
             if sym.kind != ASSUMPTION:
                 raise ValueError(f"{sym.name} is not an assumption symbol")
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"probability out of range for {sym.name}: {q}")
-            if sym in seen:
+            positive = 1 << 2 * sym.index
+            if positive in bit_prob:
                 raise ValueError(f"duplicate assumption entry: {sym.name}")
-            seen.add(sym)
-        object.__setattr__(self, "_probs", {sym: q for sym, q in self.entries})
+            bit_prob[positive] = q
+            bit_prob[positive << 1] = 1.0 - q
+        object.__setattr__(self, "bit_prob", bit_prob)
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -63,13 +71,9 @@ class AssumptionTable:
 
     def prob(self, symbol: Symbol) -> float:
         try:
-            return self._probs[symbol]  # type: ignore[attr-defined]
+            return self.bit_prob[1 << 2 * symbol.index]
         except KeyError:
             raise KeyError(f"no probability for {symbol.name}") from None
-
-    def literal_prob(self, literal: Literal) -> float:
-        q = self.prob(literal.symbol)
-        return q if literal.positive else 1.0 - q
 
     def __len__(self):
         return len(self.entries)
@@ -91,10 +95,7 @@ def term_prob(term: Term, table: AssumptionTable) -> float:
     _check_assumption_term(term)
     if term.is_inconsistent:
         return 0.0
-    p = 1.0
-    for lit in term.sorted_literals:
-        p *= table.literal_prob(lit)
-    return p
+    return math.prod((table.bit_prob[b] for b in bits(term.mask)), start=1.0)
 
 
 def _canonical(terms: Iterable[Term]) -> list[Term]:
@@ -116,10 +117,8 @@ def _subset_sums(terms: Sequence[Term], table: AssumptionTable, kmax: int) -> li
     """
     for t in terms:
         _check_assumption_term(t)
-    lit_lists = [
-        [(l.bit, l.negate().bit, table.literal_prob(l)) for l in t.sorted_literals]
-        for t in terms
-    ]
+    even = even_bits_of(0, *(t.mask for t in terms))
+    lit_lists = [[(b, swap(b, even), table.bit_prob[b]) for b in bits(t.mask)] for t in terms]
     buckets: list[list[float]] = [[] for _ in range(kmax)]
     r = len(terms)
     visited = 0
@@ -233,31 +232,27 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
     Each node splits on the symbol occurring in the most terms, lowest index
     first: P = q * P(terms with it true) + (1 - q) * P(terms with it false).
     Nodes are sets of term bitmasks; a leaf multiplies its one term's literal
-    probabilities in literal order. An explicit stack replaces recursion,
-    since a node's depth can reach the number of symbols. Inconsistent terms
-    count 0.
+    probabilities (`table.bit_prob`) in literal order. An explicit stack
+    replaces recursion, since a node's depth can reach the number of
+    symbols. Inconsistent terms count 0.
     """
-    literal_prob: dict[int, float] = {}
-    split_prob: dict[int, float] = {}  # by the symbol's positive bit
+    probs = table.bit_prob
     for t in terms:
         _check_assumption_term(t)
-        for lit in t.literals:
-            literal_prob[lit.bit] = table.literal_prob(lit)
-            split_prob[Literal(lit.symbol, True).bit] = table.prob(lit.symbol)
-    even = even_bits_of(0, *literal_prob)
     root = frozenset(t.mask for t in terms if not t.is_inconsistent)
+    even = even_bits_of(0, *root)
     memo: dict[frozenset[int], float] = {}
     stack: list[tuple[frozenset[int], tuple | None]] = [(root, None)]
     while stack:
         node, split = stack.pop()
         if split:
-            q, yes, no = split
-            memo[node] = q * memo[yes] + (1.0 - q) * memo[no]
+            pos, yes, no = split
+            memo[node] = probs[pos] * memo[yes] + probs[pos << 1] * memo[no]
         elif node in memo:
             continue
         elif len(node) <= 1 or 0 in node:
             # impossible, certain (an empty term) or one term's product
-            memo[node] = math.prod(literal_prob[b] for b in bits(min(node))) if node else 0.0
+            memo[node] = math.prod(probs[b] for b in bits(min(node))) if node else 0.0
         else:
             # each literal counted at its symbol's positive bit
             counts = Counter(b & even or b >> 1 for m in node for b in bits(m))
@@ -265,7 +260,7 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
             neg = pos << 1
             yes = frozenset(m & ~pos for m in node if not m & neg)
             no = frozenset(m & ~neg for m in node if not m & pos)
-            stack += ((node, (split_prob[pos], yes, no)), (yes, None), (no, None))
+            stack += ((node, (pos, yes, no)), (yes, None), (no, None))
     return memo[root]
 
 
@@ -282,7 +277,6 @@ def degree_of_support(qs_prob: float, contra_prob: float) -> float:
 class SupportReport:
     """Everything a query answer carries."""
 
-    hypothesis: Formula | None
     mqs: frozenset[Term]
     mc: frozenset[Term]
     qs_prob: float
@@ -307,7 +301,6 @@ def evaluate(
     table: AssumptionTable,
     method: str = AUTO,
     l: int | None = None,
-    hypothesis: Formula | None = None,
 ) -> SupportReport:
     """Turn support sets into probabilities and a degree of support.
 
@@ -332,7 +325,6 @@ def evaluate(
         qs_prob = contra_prob
     support = degree_of_support(qs_prob, contra_prob)
     return SupportReport(
-        hypothesis=hypothesis,
         mqs=frozenset(sets.mqs),
         mc=frozenset(sets.mc),
         qs_prob=qs_prob,

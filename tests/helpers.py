@@ -241,8 +241,9 @@ def reference_produce(sigma, clause, field):
     no backward subsumption; resolution, tautology tests, field membership
     and minimization all on literal sets.
     """
-    from pabr.consequence import ALL_CLAUSES
+    from pabr.consequence import ProductionField
 
+    unrestricted = field == ProductionField.all_clauses(field.alphabet)
     if _tautological(clause.literals):
         return frozenset()
     sides = [s.literals for s in dict.fromkeys(sigma) if not _tautological(s.literals)]
@@ -267,7 +268,7 @@ def reference_produce(sigma, clause, field):
                 agenda.append(r)
     inside = [
         k for k in kept
-        if field.kind == ALL_CLAUSES or all(l.symbol.kind == ASSUMPTION for l in k)
+        if unrestricted or all(l.symbol.kind == ASSUMPTION for l in k)
     ]
     return frozenset(Clause(k) for k in inside if not any(j < k for j in inside))
 

@@ -42,12 +42,6 @@ def test_field_membership():
     assert pn.contains(EMPTY_CLAUSE)
 
 
-def test_field_rejects_unknown_kind():
-    alphabet, _, _ = helpers.make_alphabet(1, 1)
-    with pytest.raises(ValueError):
-        ProductionField("anything_goes", alphabet)
-
-
 def test_seed_clauses():
     alphabet, (a1, a2), (p,) = helpers.make_alphabet(2, 1)
     pa = ProductionField.assumption_only(alphabet)

@@ -90,6 +90,23 @@ def test_parse_error_carries_column():
     assert err.value.column is not None
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("prop a b b", 10),
+        ("prop a 9x", 8),
+        ("assumption a x", 14),
+        ("assumption a 1.5", 14),
+        ("assumption a1 0.5\nclause a1 | -x", 13),
+    ],
+)
+def test_declaration_errors_point_at_the_bad_token(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_kb_text(text + "\n")
+    assert err.value.line == text.count("\n") + 1
+    assert err.value.column == column
+
+
 def test_serialize_round_trip_burglar():
     doc = parse_kb_text(helpers.BURGLAR_TEXT)
     assert parse_kb_text(serialize_kb(doc)) == doc

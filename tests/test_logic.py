@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabr.errors import ParseError, PivotError, UndeclaredSymbolError
+from pabr.errors import ParseError, UndeclaredSymbolError
 from pabr.logic import (
     And,
     Atom,
@@ -19,11 +19,12 @@ from pabr.logic import (
     Term,
     clause_to_formula,
     clause_value,
+    even_bits,
     formula_value,
     mu_minimize,
     parse_formula,
-    resolve,
-    resolvents,
+    resolvent_mask,
+    swap,
     to_cnf,
 )
 
@@ -31,6 +32,7 @@ import helpers
 
 ALPHABET, (A1, A2), (P, Q, R) = helpers.make_alphabet(2, 3)
 SYMS = [A1, A2, P, Q, R]
+EVEN = even_bits(len(SYMS))
 
 
 def cnf_value(clauses, bits):
@@ -238,6 +240,8 @@ def test_subsumes_partial_order(cs):
 
 
 # --- resolution ----------------------------------------------------------------
+#
+# On clause masks: the pivot is named by its literal's bit in the second parent.
 
 
 def test_resolve_example():
@@ -248,27 +252,23 @@ def test_resolve_example():
         )
     )
     c2 = Clause(frozenset([Literal(alarm, False)]))
-    out = resolve(c1, c2, alarm)
-    assert out == Clause(frozenset([Literal(burglary, False), Literal(a1, False)]))
-
-
-def test_resolve_requires_complementary_pivot():
-    c = helpers.clause((P, True))
-    with pytest.raises(PivotError):
-        resolve(c, c, P)
-    with pytest.raises(PivotError):
-        resolve(c, helpers.clause((Q, True)), Q)
+    out = resolvent_mask(c1.mask, c2.mask, Literal(alarm, False).bit, even_bits(len(alphabet)))
+    assert alphabet.clause_of(out) == Clause(
+        frozenset([Literal(burglary, False), Literal(a1, False)])
+    )
 
 
 def test_resolve_can_return_tautology():
     c1 = helpers.clause((P, True), (Q, True))
     c2 = helpers.clause((P, False), (Q, False))
-    out = resolve(c1, c2, P)
-    assert out.is_tautology
+    out = resolvent_mask(c1.mask, c2.mask, Literal(P, False).bit, EVEN)
+    assert ALPHABET.clause_of(out).is_tautology
 
 
 def test_resolve_to_empty_clause():
-    assert resolve(helpers.clause((P, True)), helpers.clause((P, False)), P) == EMPTY_CLAUSE
+    c1, c2 = helpers.clause((P, True)), helpers.clause((P, False))
+    out = resolvent_mask(c1.mask, c2.mask, Literal(P, False).bit, EVEN)
+    assert ALPHABET.clause_of(out) == EMPTY_CLAUSE
 
 
 @settings(deadline=None, max_examples=200)
@@ -278,8 +278,11 @@ def test_resolve_to_empty_clause():
 )
 def test_resolvents_are_entailed(l1, l2):
     c1, c2 = Clause(l1), Clause(l2)
-    for r in resolvents(c1, c2):
-        assert helpers.entails([c1, c2], r, len(SYMS))
+    clash = swap(c1.mask, EVEN) & c2.mask
+    for lit in c2.sorted_literals:
+        if lit.bit & clash:
+            r = ALPHABET.clause_of(resolvent_mask(c1.mask, c2.mask, lit.bit, EVEN))
+            assert helpers.entails([c1, c2], r, len(SYMS))
 
 
 # --- misc types ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pabr import oracle
 from pabr.errors import EnumerationLimitError, TotalInconsistencyError
 from pabr.logic import clause_to_formula, parse_formula
 from pabr.oracle import (
@@ -79,13 +80,14 @@ def test_tautology_is_fully_supported():
     assert contra_prob == 0.5
 
 
-def test_enumeration_limit():
+def test_enumeration_limit(monkeypatch):
     alphabet, assumptions, _ = helpers.make_alphabet(11, 10)
     table = AssumptionTable(tuple((s, 0.5) for s in assumptions))
     kb = KnowledgeBase(alphabet=alphabet, assumptions=table, sigma_k=())
     with pytest.raises(EnumerationLimitError):
         build_hint(kb)
-    model = build_hint(kb, limit=21)
+    monkeypatch.setattr(oracle, "SYMBOL_LIMIT", 21)
+    model = build_hint(kb)
     assert len(model.gamma) == 2 ** 11
 
 
