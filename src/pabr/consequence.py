@@ -20,8 +20,12 @@ Each fold is one given-clause saturation (`produce`): a first-in
 first-out agenda of derived clauses, forward subsumption of every
 resolvent by the kept and pending clauses, and backward subsumption, which
 drops the kept clauses a newly kept one subsumes, so kept clauses are
-never resolved against stale ones. Its result is an antichain, merged into
-the old one by `_union`.
+never resolved against stale ones. The prime-implicate fold starts from
+the old prime implicates as its kept set: they are closed under resolution
+up to subsumption, so only the new clause's consequences need deriving,
+and what the loop keeps is the new prime implicate set. The
+assumption-only fold resolves against the processed clauses as side
+clauses instead, and `_union` merges its result into the old set.
 """
 
 from __future__ import annotations
@@ -86,28 +90,35 @@ class ProductionField:
         return frozenset(map(self.alphabet.clause_of, self.seed_masks()))
 
 
-def produce(sides: Sequence[int], clause: int, field: ProductionField) -> list[int]:
-    """Field members of the resolution closure seeded at the mask `clause`.
+def produce(
+    sides: Sequence[int], clause: int, field: ProductionField, kept: Iterable[int] = ()
+) -> list[int]:
+    """Field members of the resolution closure of `kept`, `sides` and the mask `clause`.
 
-    A given-clause loop on bitmasks: each clause popped from the agenda is
-    dropped when a kept clause subsumes it; otherwise it is kept, the kept
-    clauses it subsumes are dropped, and each resolvent it has with a side
-    clause in `sides` or with a kept clause (so ancestor steps are
-    covered) joins the agenda unless a kept or pending clause subsumes
-    it. Tautologies never enter. The kept clauses stay pairwise
-    incomparable, so the field members among them are mu-minimal. Merged
-    with the previous minimal field implicates of `sides` by `_union` they
-    yield the minimal field implicates of the sides plus `clause`.
+    `kept` is an antichain closed under resolution up to subsumption (the
+    prime implicates of the clauses folded so far, say), the loop's
+    starting kept set. A given-clause loop on bitmasks: each clause popped
+    from the agenda is dropped when a kept clause subsumes it; otherwise it
+    is kept, the kept clauses it subsumes are dropped, and each resolvent
+    it has with a side clause in `sides` or with a kept clause (so ancestor
+    steps are covered) joins the agenda unless a kept or pending clause
+    subsumes it. Tautologies never enter. The kept clauses stay pairwise
+    incomparable, so the field members among them are mu-minimal.
+
+    Seeded with the prime implicates of some clauses and no sides, it
+    returns the prime implicates of those clauses plus `clause`. With no
+    seed, it returns the new minimal field implicates of the sides plus
+    `clause`, to be merged with those of the sides by `_union`.
     """
     even = even_bits(len(field.alphabet))
+    kept = list(kept)
     if is_tautology(clause, even):
-        return []
+        return [m for m in kept if not m & field.outside]
     sides = [m for m in dict.fromkeys(sides) if not is_tautology(m, even)]
-    kept: list[int] = []
     agenda = deque([clause])
     while agenda:
         given = agenda.popleft()
-        if any(k & given == k for k in kept):
+        if _contains_one_of(given, kept):
             continue
         kept = [k for k in kept if k & given != given]
         kept.append(given)
@@ -118,7 +129,7 @@ def produce(sides: Sequence[int], clause: int, field: ProductionField) -> list[i
             if not pivot or pivot & (pivot - 1):
                 continue
             r = resolvent_mask(given, partner, pivot, even)
-            if any(k & r == k for k in kept) or any(a & r == a for a in agenda):
+            if _contains_one_of(r, kept) or _contains_one_of(r, agenda):
                 continue
             agenda.append(r)
     return [m for m in kept if not m & field.outside]
@@ -190,9 +201,11 @@ def _contains_one_of(mask: int, pool: Iterable[int]) -> bool:
 def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
     """Fold one clause into the prime implicates and read carc off them.
 
-    The previous prime implicates stand in for the processed clauses as
-    side clauses; they are equivalent to them and already minimal. The new
-    carc is the part of the new prime implicate set inside `state.field`.
+    `produce` starts from the previous prime implicates as its kept set,
+    with no side clauses: they are equivalent to the processed clauses and
+    closed under resolution up to subsumption, so what it keeps is the new
+    prime implicate set. The new carc is the part of it inside
+    `state.field`.
     """
     if state.pi_masks is None:
         raise ValueError("state was compiled without prime implicates")
@@ -200,7 +213,7 @@ def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
     if clause.is_tautology:
         return replace(state, processed_masks=processed)
     full = ProductionField.all_clauses(state.field.alphabet)
-    pi = _union(state.pi_masks, produce(tuple(state.pi_masks), clause.mask, full))
+    pi = frozenset(produce((), clause.mask, full, state.pi_masks))
     outside = state.field.outside
     carc = frozenset(m for m in pi if not m & outside)
     return replace(state, carc_masks=carc, processed_masks=processed, pi_masks=pi)

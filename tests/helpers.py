@@ -273,11 +273,36 @@ def reference_produce(sigma, clause, field):
     return frozenset(Clause(k) for k in inside if not any(j < k for j in inside))
 
 
-def reference_produce_masks(sides, clause, field):
-    """`reference_produce` with `consequence.produce`'s mask signature."""
+def reference_produce_masks(sides, clause, field, kept=()):
+    """`reference_produce` with `consequence.produce`'s mask signature.
+
+    A seeded kept set joins the side clauses, and the result is merged
+    with it by minimization; the seed's tautologies (`s | -s`) stay, as
+    they do in `produce`, until a member subsumes them.
+    """
+    from pabr.logic import mu_minimize
+
     alphabet = field.alphabet
-    sigma = [alphabet.clause_of(m) for m in sides]
-    return [c.mask for c in reference_produce(sigma, alphabet.clause_of(clause), field)]
+    sigma = [alphabet.clause_of(m) for m in (*sides, *kept)]
+    fresh = reference_produce(sigma, alphabet.clause_of(clause), field)
+    seed = [c for c in map(alphabet.clause_of, kept) if field.contains(c)]
+    return [c.mask for c in mu_minimize([*seed, *fresh])]
+
+
+def reference_pi_add(state, clause):
+    """`consequence.pi_add` by the route it replaced: the old prime implicates
+    as side clauses of an unseeded `produce`, merged into them by `_union`."""
+    from dataclasses import replace
+
+    from pabr.consequence import ProductionField, _union, produce
+
+    processed = state.processed_masks + (clause.mask,)
+    if clause.is_tautology:
+        return replace(state, processed_masks=processed)
+    full = ProductionField.all_clauses(state.field.alphabet)
+    pi = _union(state.pi_masks, produce(tuple(state.pi_masks), clause.mask, full))
+    carc = frozenset(m for m in pi if not m & state.field.outside)
+    return replace(state, carc_masks=carc, processed_masks=processed, pi_masks=pi)
 
 
 # --- reference snapshot reader and writer -------------------------------------

@@ -118,6 +118,13 @@ def test_produce_contract_against_enumeration():
         fresh = produced(sigma, last, pa)
         merged = mu_minimize(expected_carc(sigma, alphabet) | fresh)
         assert merged == expected_carc(clauses, alphabet)
+        # seeded with the prime implicates of sigma, no sides: those of sigma + [last]
+        full = ProductionField.all_clauses(alphabet)
+        out = produce((), last.mask, full, masks(expected_pi(sigma, alphabet)))
+        assert len(set(out)) == len(out)
+        assert frozenset(map(alphabet.clause_of, out)) == expected_pi(clauses, alphabet)
+        tautology = 3  # s | -s for the first symbol: adds nothing to the seed
+        assert sorted(produce((), tautology, full, out)) == sorted(out)
 
 
 def _messy_clauses(rng, symbols, count):
@@ -156,6 +163,21 @@ def test_produce_matches_the_frozenset_reference(monkeypatch):
     monkeypatch.setattr("pabr.consequence.produce", helpers.reference_produce_masks)
     for alphabet, clauses, state in cases:
         assert compile_clauses(alphabet, clauses, with_pi=True) == state
+
+
+def test_seeded_pi_fold_matches_the_side_clause_route(monkeypatch):
+    rng = random.Random(6174)
+    cases = []
+    for _ in range(120):
+        alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
+        clauses = _messy_clauses(rng, list(alphabet.symbols), rng.randint(1, 10))
+        state = compile_clauses(alphabet, clauses, with_pi=True)
+        assert state.carc_masks == compile_clauses(alphabet, clauses).carc_masks
+        cases.append((alphabet, clauses, state))
+    monkeypatch.setattr("pabr.consequence.pi_add", helpers.reference_pi_add)
+    for alphabet, clauses, state in cases:
+        want = compile_clauses(alphabet, clauses, with_pi=True)
+        assert (state.pi_masks, state.carc_masks) == (want.pi_masks, want.carc_masks)
 
 
 def _random_antichain(rng, symbols):
@@ -328,9 +350,9 @@ def test_facts_fold_through_pi_of_a_snapshot():
 def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
     calls = []
 
-    def counting(sigma, clause, field):
+    def counting(sides, clause, field, kept=()):
         calls.append(clause)
-        return produce(sigma, clause, field)
+        return produce(sides, clause, field, kept)
 
     monkeypatch.setattr("pabr.consequence.produce", counting)
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)

@@ -14,8 +14,10 @@ change tree) one line is printed: the parent's and the change's median
 over the seeds, their ratio, on how many seeds the change was better, and
 the interquartile range of the parent's runs. A metric worse than its
 bound (relative to the parent's median, in the direction the metric calls
-worse) is flagged `WORSE`, and so is a run that was not correct. The exit
-code is 1 when anything was flagged.
+worse) is flagged `WORSE`, and so is a run that was not correct. A line
+per workload gives each side's `failed/attempted` op counts per seed; it is
+flagged `MORE FAILURES` when the change's summed share of failed ops is
+above the parent's. The exit code is 1 when anything was flagged.
 
 Only the standard library is used; `BENCHMARK.json` and `perfbench/` are
 read and never written.
@@ -54,6 +56,21 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def failure_line(workload: str, results: dict) -> tuple[str, bool]:
+    """Each side's `failed/attempted` per seed, and whether the change's
+    summed share of failed ops is above the parent's."""
+    text, share = [f"{workload:6} failed/attempted"], {}
+    for side in SIDES:
+        text.append(f"{side} " + " ".join(f"{r['failed']}/{r['attempted']}" if r else "-"
+                                          for r in results[side]))
+        failed = sum(r["failed"] for r in results[side] if r)
+        attempted = sum(r["attempted"] for r in results[side] if r)
+        share[side] = failed / attempted if attempted else 0.0
+    more = share["change"] > share["parent"]
+    text.append(f"share parent {share['parent']:.4g} change {share['change']:.4g}")
+    return "  ".join(text) + ("  MORE FAILURES" if more else ""), more
+
+
 def compare(runs: dict, spec: dict) -> tuple[list[str], bool]:
     """Report lines and whether any metric or run was flagged."""
     lines, flagged = [], False
@@ -64,6 +81,9 @@ def compare(runs: dict, spec: dict) -> tuple[list[str], bool]:
             if bad:
                 lines.append(f"{workload}: {bad} {side} run(s) missing or not correct  WORSE")
                 flagged = True
+        line, more = failure_line(workload, results)
+        lines.append(line)
+        flagged |= more
         for metric in spec["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
             pairs = [
