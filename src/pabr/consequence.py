@@ -16,16 +16,19 @@ state holds masks, snapshot files are read into masks and written from
 them through the alphabet's literal text tables, and `Clause` objects are
 built only on demand, for the state's read-only views.
 
-Each fold is one given-clause saturation (`produce`): a first-in
-first-out agenda of derived clauses, forward subsumption of every
-resolvent by the kept and pending clauses, and backward subsumption, which
-drops the kept clauses a newly kept one subsumes, so kept clauses are
-never resolved against stale ones. The prime-implicate fold starts from
-the old prime implicates as its kept set: they are closed under resolution
-up to subsumption, so only the new clause's consequences need deriving,
-and what the loop keeps is the new prime implicate set. The
-assumption-only fold resolves against the processed clauses as side
-clauses instead, and `_union` merges its result into the old set.
+A unit clause l folds into the prime implicates by conditioning, with no
+resolution (`_condition`): PI(S & l) is the minimal clauses among l and
+p - {-l} for the members p of PI(S) that do not hold l. Every other fold
+is one given-clause saturation (`produce`): a first-in first-out agenda of
+derived clauses, forward subsumption of every resolvent by the kept and
+pending clauses, and backward subsumption, which drops the kept clauses a
+newly kept one subsumes, so kept clauses are never resolved against stale
+ones. The prime-implicate fold starts from the old prime implicates as its
+kept set: they are closed under resolution up to subsumption, so only the
+new clause's consequences need deriving, and what the loop keeps is the
+new prime implicate set. The assumption-only fold resolves against the
+processed clauses as side clauses instead, and `_union` merges its result
+into the old set.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .logic import (
     Clause,
     bits,
     even_bits,
+    even_bits_of,
     is_tautology,
     parse_clause_body,
     resolve_clause,
@@ -198,25 +202,61 @@ def _contains_one_of(mask: int, pool: Iterable[int]) -> bool:
     return False
 
 
+def _condition(pi: frozenset[int], lit: int, negated: int) -> frozenset[int]:
+    """Prime implicates of the clauses behind `pi` plus the unit `lit`, by conditioning.
+
+    PI(S & l) = mu({l} | {p - {-l} : p in PI(S), l not in p}): the members
+    holding l go (the seed l | -l with them), those holding -l lose it,
+    and l joins. A stripped member lies inside no other stripped one and
+    holds no untouched one, since both came from an antichain, so the only
+    subsumption left to test is a stripped member inside an untouched one;
+    l itself is comparable to none of them.
+    An empty stripped member, or an inconsistent `pi`, gives {empty}.
+    """
+    if 0 in pi:
+        return pi
+    untouched, stripped = [], []
+    for p in pi:
+        if p & lit:
+            continue
+        if p & negated:
+            p ^= negated
+            if not p:
+                return frozenset((0,))
+            stripped.append(p)
+        else:
+            untouched.append(p)
+    if stripped:
+        untouched = [u for u in untouched if not _contains_one_of(u, stripped)]
+    return frozenset((*untouched, *stripped, lit))
+
+
 def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
     """Fold one clause into the prime implicates and read carc off them.
 
-    `produce` starts from the previous prime implicates as its kept set,
-    with no side clauses: they are equivalent to the processed clauses and
-    closed under resolution up to subsumption, so what it keeps is the new
-    prime implicate set. The new carc is the part of it inside
-    `state.field`.
+    A unit clause l conditions the prime implicates on l (`_condition`),
+    with no resolution. Any other clause goes through `produce`, which
+    starts from the previous prime implicates as its kept set, with no side
+    clauses: they are equivalent to the processed clauses and closed under
+    resolution up to subsumption, so what it keeps is the new prime
+    implicate set. The new carc is the part of it inside `state.field`.
     """
-    if state.pi_masks is None:
+    pi = state.pi_masks
+    if pi is None:
         raise ValueError("state was compiled without prime implicates")
-    processed = state.processed_masks + (clause.mask,)
+    mask = clause.mask
+    field = state.field
+    processed = state.processed_masks + (mask,)
     if clause.is_tautology:
-        return replace(state, processed_masks=processed)
-    full = ProductionField.all_clauses(state.field.alphabet)
-    pi = frozenset(produce((), clause.mask, full, state.pi_masks))
-    outside = state.field.outside
+        return CompiledState(field, state.carc_masks, processed, pi)
+    if mask and not mask & (mask - 1):
+        pi = _condition(pi, mask, swap(mask, even_bits_of(mask)))
+    else:
+        full = ProductionField.all_clauses(field.alphabet)
+        pi = frozenset(produce((), mask, full, pi))
+    outside = field.outside
     carc = frozenset(m for m in pi if not m & outside)
-    return replace(state, carc_masks=carc, processed_masks=processed, pi_masks=pi)
+    return CompiledState(field, carc, processed, pi)
 
 
 def extend(state: CompiledState, clause: Clause) -> CompiledState:

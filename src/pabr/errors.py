@@ -65,6 +65,6 @@ class EnumerationLimitError(PabrError):
     """An exhaustive enumeration would exceed its fixed limit.
 
     Raised for an alphabet too large for model enumeration, and for a union
-    whose inclusion-exclusion subsets or disjoint-product fragments exceed
-    the probability module's work budget.
+    whose inclusion-exclusion subsets, disjoint-product fragments or
+    Shannon split nodes exceed the probability module's work budgets.
     """

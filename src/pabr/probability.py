@@ -35,9 +35,17 @@ AUTO = "auto"
 
 # Work budget of the explicit exponential methods: term subsets visited by
 # inclusion-exclusion, fragments made by disjoint products. The tests reach
-# 8 191 subsets and 13 fragments; the budget keeps a runaway union to about
-# a second and, for disjoint products, some 15 MB of fragment masks.
+# 8 191 subsets and 13 fragments. On unions of 100-1 000 width-3 terms (a
+# 2-core VM) inclusion-exclusion reaches it in 0.15-0.3 s and disjoint
+# products in under 0.05 s; disjoint products hold at most some 15 MB of
+# fragment masks.
 ENUMERATION_BUDGET = 1 << 18
+
+# Split nodes of the Shannon expansion (the `auto` method). On the same
+# unions 2^14 nodes took 0.23-0.54 s and 21-25 MB, 2^16 nodes 1.0 s and
+# 87 MB. The largest union of the benchmark workloads (a 24-link chain)
+# splits 47 nodes; every union the tests answer splits fewer than 2 048.
+SHANNON_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,8 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
     Nodes are sets of term bitmasks; a leaf multiplies its one term's literal
     probabilities (`table.bit_prob`) in literal order. An explicit stack
     replaces recursion, since a node's depth can reach the number of
-    symbols. Inconsistent terms count 0.
+    symbols. Inconsistent terms count 0. Past SHANNON_BUDGET split nodes
+    this raises EnumerationLimitError.
     """
     probs = table.bit_prob
     for t in terms:
@@ -243,6 +252,7 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
     even = even_bits_of(0, *root)
     memo: dict[frozenset[int], float] = {}
     stack: list[tuple[frozenset[int], tuple | None]] = [(root, None)]
+    splits = 0
     while stack:
         node, split = stack.pop()
         if split:
@@ -254,6 +264,12 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
             # impossible, certain (an empty term) or one term's product
             memo[node] = math.prod(probs[b] for b in bits(min(node))) if node else 0.0
         else:
+            splits += 1
+            if splits > SHANNON_BUDGET:
+                raise EnumerationLimitError(
+                    f"Shannon expansion of {len(root)} terms splits more than "
+                    f"{SHANNON_BUDGET} nodes"
+                )
             # each literal counted at its symbol's positive bit
             counts = Counter(b & even or b >> 1 for m in node for b in bits(m))
             pos = min(counts, key=lambda b: (-counts[b], b))

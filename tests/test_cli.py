@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import tempfile
 import time
 import tracemalloc
@@ -405,6 +406,23 @@ def test_query_union_of_independent_causes_stays_small(kb_path, capsys, n, metho
     assert payload["support"] == pytest.approx(1 - (7 / 8) ** n, abs=1e-11)
 
 
+def test_query_auto_stops_at_the_shannon_budget(kb_path, capsys):
+    # 100 causes of three assumptions each, drawn from 40: the union's
+    # Shannon expansion needs far more split nodes than its budget
+    rng = random.Random(40)
+    triples = set()
+    while len(triples) < 100:
+        triples.add(tuple(sorted(rng.sample(range(40), 3))))
+    lines = [f"assumption a{i} 0.5" for i in range(40)] + ["prop h"]
+    lines += [f"clause -a{i} | -a{j} | -a{k} | h" for i, j, k in sorted(triples)]
+    path = kb_path("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "query", path, "-q", "h")
+    assert time.perf_counter() - start < 3
+    assert code == 1 and out == ""
+    assert err.startswith("error: Shannon expansion of 100 terms splits more than")
+
+
 def _unit_causes(n):
     lines = [f"assumption x{i} 0.5" for i in range(n)]
     lines.append("prop h")
@@ -494,6 +512,45 @@ def test_query_oracle_enforces_enumeration_limit(kb_path, capsys):
     code, _out, err = run(capsys, "query", path, "-q", "p1", "--method", "oracle")
     assert code == 1
     assert "limit" in err
+
+
+def _random_fact_kb(rng):
+    """KB text over a1.. and p1..: width 1-3 `clause` lines, then `fact`
+    lines that are mostly units; and clause hypotheses over the same symbols."""
+    n_assum, n_props = rng.randint(1, 4), rng.randint(1, 4)
+    names = [f"a{i}" for i in range(1, n_assum + 1)] + [f"p{i}" for i in range(1, n_props + 1)]
+    lines = [f"assumption {a} {rng.choice(helpers.Q_CHOICES)}" for a in names[:n_assum]]
+    lines.append("prop " + " ".join(names[n_assum:]))
+
+    def literals(width):
+        return [rng.choice(["", "-"]) + n for n in rng.sample(names, min(width, len(names)))]
+
+    lines += ["clause " + " | ".join(literals(rng.randint(1, 3))) for _ in range(rng.randint(1, 6))]
+    lines += [
+        "fact " + " | ".join(literals(1 if rng.random() < 0.8 else 2))
+        for _ in range(rng.randint(1, 4))
+    ]
+    hypotheses = [" | ".join(literals(rng.randint(1, 2))).replace("-", "!") for _ in range(3)]
+    return "\n".join(lines) + "\n", hypotheses
+
+
+def test_fact_queries_on_a_pi_snapshot_match_the_other_routes(kb_path, capsys):
+    # unit facts and negated unit hypotheses fold into [pi] by conditioning:
+    # the bytes printed must equal a plain query's and a carc-only snapshot's
+    rng = random.Random(4099)
+    codes = []
+    for i in range(60):
+        text, hypotheses = _random_fact_kb(rng)
+        path = kb_path(text, name=f"kb{i}.pabr")
+        if run(capsys, "compile", path, "-o", path + ".carc")[0] != 0:
+            continue  # the knowledge alone is inconsistent: exit 3
+        assert run(capsys, "compile", path, "--pi", "-o", path + ".pi")[0] == 0
+        for h in hypotheses:
+            plain = run(capsys, "query", path, "-q", h)
+            for snap in (path + ".carc", path + ".pi"):
+                assert run(capsys, "query", path, "-q", h, "--snapshot", snap) == plain, (text, h)
+            codes.append(plain[0])
+    assert codes.count(0) > 60 and codes.count(3) > 10
 
 
 def test_facts_and_knowledge_clauses_are_interchangeable(kb_path, capsys):

@@ -180,6 +180,81 @@ def test_seeded_pi_fold_matches_the_side_clause_route(monkeypatch):
         assert (state.pi_masks, state.carc_masks) == (want.pi_masks, want.carc_masks)
 
 
+def _with_units(rng, symbols, count):
+    """`_messy_clauses` with unit clauses of either sign over any symbol mixed in."""
+    out = _messy_clauses(rng, symbols, count)
+    for _ in range(rng.randint(1, 4)):
+        unit = Clause.of(Literal(rng.choice(symbols), rng.random() < 0.5))
+        out.insert(rng.randint(0, len(out)), unit)
+    return out
+
+
+def _pi_folds(alphabet, clauses):
+    """Fold `clauses` through `pi_add` and through the reference route side
+    by side, checking each step; returns the initial and every folded state."""
+    state = want = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi=True)
+    states = [state]
+    for c in clauses:
+        state, want = pi_add(state, c), helpers.reference_pi_add(want, c)
+        assert (state.pi_masks, state.carc_masks) == (want.pi_masks, want.carc_masks)
+        assert state.processed_masks == want.processed_masks
+        states.append(state)
+    return states
+
+
+def test_unit_conditioning_matches_the_resolution_route():
+    rng = random.Random(1729)
+    seen = {"assumption": 0, "proposition": 0, "on_empty": 0, "already_prime": 0}
+    for _ in range(200):
+        alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
+        clauses = _with_units(rng, list(alphabet.symbols), rng.randint(1, 8))
+        for c, before in zip(clauses, _pi_folds(alphabet, clauses)):
+            if len(c) == 1:
+                (lit,) = c.literals
+                seen[lit.symbol.kind] += 1
+                seen["on_empty"] += 0 in before.pi_masks
+                seen["already_prime"] += c.mask in before.pi_masks
+    assert all(seen.values()), seen
+
+
+def _units(*pairs):
+    return [helpers.clause(pair) for pair in pairs]
+
+
+def test_unit_conditioning_edge_cases():
+    alphabet, (a1, a2), (p, q, r) = helpers.make_alphabet(2, 3)
+    cases = {
+        # a unit on an already inconsistent state
+        "on_empty": [helpers.clause((p, True)), helpers.clause((p, False)), helpers.clause((a1, True))],
+        "on_empty_clause": [EMPTY_CLAUSE, helpers.clause((q, False))],
+        "complementary": _units((a1, True), (a1, False)),
+        "complementary_props": [helpers.clause((a1, False), (p, True)), *_units((q, True), (q, False))],
+        # p | a1 and -p | a1 make a1 prime before the unit a1 arrives
+        "already_prime": [
+            helpers.clause((p, True), (a1, True)),
+            helpers.clause((p, False), (a1, True)),
+            helpers.clause((a1, True)),
+        ],
+        # r occurs only in its tautology seed
+        "seed_only": [helpers.clause((a1, False), (p, True)), helpers.clause((r, True))],
+        "strips_to_units": [
+            helpers.clause((a1, False), (p, True)),
+            helpers.clause((a2, False), (p, False), (q, True)),
+            *_units((a1, True), (a2, True)),
+        ],
+    }
+    for name, clauses in cases.items():
+        state = _pi_folds(alphabet, clauses)[-1]
+        assert state.pi == expected_pi(clauses, alphabet), name
+        assert state.carc == expected_carc(clauses, alphabet), name
+    assert _pi_folds(alphabet, cases["on_empty"])[-1].pi == {EMPTY_CLAUSE}
+    assert _pi_folds(alphabet, cases["seed_only"])[-1].pi == {
+        helpers.clause((a1, False), (p, True)),
+        helpers.clause((r, True)),
+        *(helpers.clause((s, True), (s, False)) for s in (a1, a2, p, q)),
+    }
+
+
 def _random_antichain(rng, symbols):
     clauses = _messy_clauses(rng, symbols, rng.randint(0, 6))
     clauses += [Clause.of(Literal(s, rng.random() < 0.5)) for s in rng.sample(symbols, 1)]
@@ -346,8 +421,8 @@ def test_facts_fold_through_pi_of_a_snapshot():
         assert state.processed == carc_only.processed
 
 
-@pytest.mark.parametrize("with_pi", [False, True])
-def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
+def _count_produce(monkeypatch):
+    """Record the clause of every `produce` call; returns the record list."""
     calls = []
 
     def counting(sides, clause, field, kept=()):
@@ -355,13 +430,42 @@ def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
         return produce(sides, clause, field, kept)
 
     monkeypatch.setattr("pabr.consequence.produce", counting)
+    return calls
+
+
+@pytest.mark.parametrize("with_pi", [False, True])
+def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
+    calls = _count_produce(monkeypatch)
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
     state = compile_clauses(alphabet, [helpers.clause((a1, False), (p, True))], with_pi)
-    unit = helpers.clause((p, False))
-    state = extend(state, unit)
+    second = helpers.clause((a1, False), (p, False))
+    state = extend(state, second)
     state = extend(state, helpers.clause((p, True), (p, False)))
-    assert calls == [helpers.clause((a1, False), (p, True)).mask, unit.mask]
+    assert calls == [helpers.clause((a1, False), (p, True)).mask, second.mask]
     assert len(state.processed) == 3
+
+
+def test_units_fold_into_prime_implicates_without_produce(monkeypatch):
+    calls = _count_produce(monkeypatch)
+    alphabet, (a1,), (p, q) = helpers.make_alphabet(1, 2)
+    knowledge = [helpers.clause((a1, False), (p, True)), helpers.clause((p, False), (q, True))]
+    state = compile_clauses(alphabet, knowledge, with_pi=True)
+    assert calls == [c.mask for c in knowledge]
+    del calls[:]
+    for unit in (helpers.clause((q, False)), helpers.clause((a1, True))):
+        state = extend(state, unit)
+    assert calls == []
+    assert state.pi == {EMPTY_CLAUSE}
+    # the empty clause is no unit: it takes the resolution route
+    fresh = compile_clauses(alphabet, knowledge, with_pi=True)
+    del calls[:]
+    assert extend(fresh, EMPTY_CLAUSE).pi == {EMPTY_CLAUSE}
+    assert calls == [0]
+    # on a carc-only state every clause is resolved
+    carc_only = compile_clauses(alphabet, knowledge)
+    del calls[:]
+    extend(carc_only, helpers.clause((q, False)))
+    assert calls == [helpers.clause((q, False)).mask]
 
 
 # --- snapshots -------------------------------------------------------------------

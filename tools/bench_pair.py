@@ -1,9 +1,10 @@
 """Run the benchmark on two source trees in alternating order and compare medians.
 
     python3 tools/bench_pair.py --parent DIR [--change DIR] --seeds 1 2 3 4
-                                [--seconds 25]
+                                [--seconds 25] [--workloads diag rand3]
 
-For each seed, `perfbench/run.py --workload all` runs once in each tree,
+For each seed, `perfbench/run.py --workload W` runs once in each tree for
+every workload W of `--workloads` (default: all of `BENCHMARK.json`'s),
 each from its own checkout (its own `perfbench/` and `src/`); the order
 alternates, parent first on the first seed and change first on the next,
 so a drift in machine speed falls on both sides alike. `--change` defaults
@@ -15,9 +16,12 @@ over the seeds, their ratio, on how many seeds the change was better, and
 the interquartile range of the parent's runs. A metric worse than its
 bound (relative to the parent's median, in the direction the metric calls
 worse) is flagged `WORSE`, and so is a run that was not correct. A line
-per workload gives each side's `failed/attempted` op counts per seed; it is
-flagged `MORE FAILURES` when the change's summed share of failed ops is
-above the parent's. The exit code is 1 when anything was flagged.
+per workload gives each side's `failed/attempted` op counts per seed and
+names the seeds whose two runs attempted different op counts (a run stops
+at a session boundary, so a different count is a different number of
+sessions); it is flagged `MORE FAILURES` when the change's summed share of
+failed ops is above the parent's. The exit code is 1 when anything was
+flagged.
 
 Only the standard library is used; `BENCHMARK.json` and `perfbench/` are
 read and never written.
@@ -36,17 +40,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 
 
-def run_tree(tree: str, seed: int, seconds: float) -> dict:
-    """The per-workload results of one `--workload all` run in `tree`."""
-    argv = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
-            "--workload", "all", "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True)
-    lines = done.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1])
-    except (IndexError, ValueError):
-        print(f"error: no result from {tree}, seed {seed}, exit {done.returncode}", file=sys.stderr)
-        return {}
+def run_tree(tree: str, seed: int, seconds: float, workloads: list[str]) -> dict:
+    """The results of one run of each of `workloads` in `tree`, by workload."""
+    results = {}
+    for workload in workloads:
+        argv = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+                "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+        done = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True)
+        lines = done.stdout.strip().splitlines()
+        try:
+            results[workload] = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            print(f"error: no {workload} result from {tree}, seed {seed}, "
+                  f"exit {done.returncode}", file=sys.stderr)
+    return results
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -56,9 +63,10 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def failure_line(workload: str, results: dict) -> tuple[str, bool]:
-    """Each side's `failed/attempted` per seed, and whether the change's
-    summed share of failed ops is above the parent's."""
+def failure_line(workload: str, results: dict, seeds: list[int]) -> tuple[str, bool]:
+    """Each side's `failed/attempted` per seed, the seeds whose attempted
+    counts differ, and whether the change's summed share of failed ops is
+    above the parent's."""
     text, share = [f"{workload:6} failed/attempted"], {}
     for side in SIDES:
         text.append(f"{side} " + " ".join(f"{r['failed']}/{r['attempted']}" if r else "-"
@@ -68,20 +76,24 @@ def failure_line(workload: str, results: dict) -> tuple[str, bool]:
         share[side] = failed / attempted if attempted else 0.0
     more = share["change"] > share["parent"]
     text.append(f"share parent {share['parent']:.4g} change {share['change']:.4g}")
+    differ = [str(seed) for seed, p, c in zip(seeds, *(results[side] for side in SIDES))
+              if p and c and p["attempted"] != c["attempted"]]
+    if differ:
+        text.append(f"attempted differs on seed(s) {' '.join(differ)}")
     return "  ".join(text) + ("  MORE FAILURES" if more else ""), more
 
 
-def compare(runs: dict, spec: dict) -> tuple[list[str], bool]:
+def compare(runs: dict, spec: dict, workloads: list[str], seeds: list[int]) -> tuple[list[str], bool]:
     """Report lines and whether any metric or run was flagged."""
     lines, flagged = [], False
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in workloads:
         results = {side: [run.get(workload) for run in runs[side]] for side in SIDES}
         for side in SIDES:
             bad = sum(not (r and r["correct"]) for r in results[side])
             if bad:
                 lines.append(f"{workload}: {bad} {side} run(s) missing or not correct  WORSE")
                 flagged = True
-        line, more = failure_line(workload, results)
+        line, more = failure_line(workload, results, seeds)
         lines.append(line)
         flagged |= more
         for metric in spec["end_to_end"]:
@@ -114,18 +126,24 @@ def main() -> int:
     parser.add_argument("--change", default=ROOT, help="checkout of the change (default: this tree)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workloads", nargs="+", help="workloads to run (default: all)")
     args = parser.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads or known
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        parser.error(f"unknown workload(s) {' '.join(unknown)}; choose from {' '.join(known)}")
 
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(args.seeds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             print(f"seed {seed}: {side}", file=sys.stderr, flush=True)
-            runs[side].append(run_tree(trees[side], seed, args.seconds))
+            runs[side].append(run_tree(trees[side], seed, args.seconds, workloads))
 
-    lines, flagged = compare(runs, spec)
+    lines, flagged = compare(runs, spec, workloads, args.seeds)
     print(f"medians over seeds {' '.join(map(str, args.seeds))}, ratio change/parent")
     print("\n".join(lines))
     return 1 if flagged else 0
