@@ -11,10 +11,10 @@ assumption-only set off them (the field is subsumption-stable, so its
 minimal implicates are the prime implicates inside it), and into the
 assumption-only set directly otherwise.
 
-Everything here runs on clause bitmasks (`Clause.mask`): the compiled
-state holds masks, snapshot files are read into masks and written from
-them through the alphabet's literal text tables, and `Clause` objects are
-built only on demand, for the state's read-only views.
+Everything here runs on clause bitmasks: the folds take and keep masks,
+snapshot files are read into masks and written from them through the
+alphabet's literal text tables, and `Clause` objects are built only on
+demand, for the state's read-only `carc` and `pi` views.
 
 A unit clause l folds into the prime implicates by conditioning, with no
 resolution (`_condition`): PI(S & l) is the minimal clauses among l and
@@ -44,8 +44,8 @@ from .logic import (
     Alphabet,
     Clause,
     bits,
+    canonical,
     even_bits,
-    even_bits_of,
     is_tautology,
     parse_clause_body,
     resolve_clause,
@@ -82,16 +82,10 @@ class ProductionField:
     def all_clauses(cls, alphabet: Alphabet) -> ProductionField:
         return cls(alphabet, 0)
 
-    def contains(self, clause: Clause) -> bool:
-        return not clause.mask & self.outside
-
     def seed_masks(self) -> frozenset[int]:
         """Tautologies inside the field, s | -s per symbol: the minimal implicates of nothing."""
         pairs = (3 << 2 * i for i in range(len(self.alphabet)))
         return frozenset(m for m in pairs if not m & self.outside)
-
-    def seed_clauses(self) -> frozenset[Clause]:
-        return frozenset(map(self.alphabet.clause_of, self.seed_masks()))
 
 
 def produce(
@@ -146,8 +140,8 @@ class CompiledState:
     `carc_masks` holds the minimal implicates of the processed clauses
     inside `field`; `pi_masks`, when enabled, holds the full prime implicate
     set of the same clauses; `processed_masks` lists the folded clauses in
-    fold order. `carc`, `pi` and `processed` are the same sets as `Clause`
-    objects, built on first access. Updates return fresh snapshots.
+    fold order. `carc` and `pi` are the same sets as `Clause` views, built
+    on first access. Updates return fresh snapshots.
     """
 
     field: ProductionField
@@ -174,10 +168,6 @@ class CompiledState:
         if self.pi_masks is None:
             return None
         return frozenset(map(self.field.alphabet.clause_of, self.pi_masks))
-
-    @cached_property
-    def processed(self) -> tuple[Clause, ...]:
-        return tuple(map(self.field.alphabet.clause_of, self.processed_masks))
 
 
 def _union(old: frozenset[int], fresh: Iterable[int]) -> frozenset[int]:
@@ -231,8 +221,8 @@ def _condition(pi: frozenset[int], lit: int, negated: int) -> frozenset[int]:
     return frozenset((*untouched, *stripped, lit))
 
 
-def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
-    """Fold one clause into the prime implicates and read carc off them.
+def pi_add(state: CompiledState, clause: int) -> CompiledState:
+    """Fold one clause mask into the prime implicates and read carc off them.
 
     A unit clause l conditions the prime implicates on l (`_condition`),
     with no resolution. Any other clause goes through `produce`, which
@@ -244,36 +234,37 @@ def pi_add(state: CompiledState, clause: Clause) -> CompiledState:
     pi = state.pi_masks
     if pi is None:
         raise ValueError("state was compiled without prime implicates")
-    mask = clause.mask
     field = state.field
-    processed = state.processed_masks + (mask,)
-    if clause.is_tautology:
+    even = even_bits(len(field.alphabet))
+    processed = state.processed_masks + (clause,)
+    if is_tautology(clause, even):
         return CompiledState(field, state.carc_masks, processed, pi)
-    if mask and not mask & (mask - 1):
-        pi = _condition(pi, mask, swap(mask, even_bits_of(mask)))
+    if clause and not clause & (clause - 1):
+        pi = _condition(pi, clause, swap(clause, even))
     else:
         full = ProductionField.all_clauses(field.alphabet)
-        pi = frozenset(produce((), mask, full, pi))
+        pi = frozenset(produce((), clause, full, pi))
     outside = field.outside
     carc = frozenset(m for m in pi if not m & outside)
     return CompiledState(field, carc, processed, pi)
 
 
-def extend(state: CompiledState, clause: Clause) -> CompiledState:
-    """Fold one clause: `pi_add` when the state tracks prime implicates,
+def extend(state: CompiledState, clause: int) -> CompiledState:
+    """Fold one clause mask: `pi_add` when the state tracks prime implicates,
     else resolve it against the processed clauses and merge into carc."""
     if state.pi_masks is not None:
         return pi_add(state, clause)
-    processed = state.processed_masks + (clause.mask,)
-    if clause.is_tautology:
+    processed = state.processed_masks + (clause,)
+    if is_tautology(clause, even_bits(len(state.field.alphabet))):
         return replace(state, processed_masks=processed)
-    fresh = produce(state.processed_masks, clause.mask, state.field)
+    fresh = produce(state.processed_masks, clause, state.field)
     return replace(state, carc_masks=_union(state.carc_masks, fresh), processed_masks=processed)
 
 
 def compile_clauses(
-    alphabet: Alphabet, clauses: Iterable[Clause], with_pi: bool = False
+    alphabet: Alphabet, clauses: Iterable[int], with_pi: bool = False
 ) -> CompiledState:
+    """Fold the clause masks in order into a fresh state over `alphabet`."""
     state = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi)
     for c in clauses:
         state = extend(state, c)
@@ -313,11 +304,6 @@ def _clause_lines(masks: Iterable[int], text_of_bit: dict[int, str]) -> list[str
     return [" | ".join(text_of_bit[b] for b in bits(m)) or _EMPTY_TOKEN for m in masks]
 
 
-def _canonical(masks: Iterable[int]) -> list[int]:
-    """Masks by ascending bit positions, the order of `Clause.sort_key`."""
-    return sorted(masks, key=lambda m: [b.bit_length() for b in bits(m)])
-
-
 def snapshot_text(state: CompiledState) -> str:
     """Render a snapshot's sections as text, one clause per line.
 
@@ -325,27 +311,22 @@ def snapshot_text(state: CompiledState) -> str:
     insertion order because it is the fold history.
     """
     text_of_bit = state.field.alphabet.text_of_bit
-    lines = ["[carc]"] + _clause_lines(_canonical(state.carc_masks), text_of_bit)
+    lines = ["[carc]"] + _clause_lines(canonical(state.carc_masks), text_of_bit)
     if state.pi_masks is not None:
         lines.append("[pi]")
-        lines += _clause_lines(_canonical(state.pi_masks), text_of_bit)
+        lines += _clause_lines(canonical(state.pi_masks), text_of_bit)
     lines.append("[processed]")
     lines += _clause_lines(state.processed_masks, text_of_bit)
     return "\n".join(lines) + "\n"
 
 
-def _parsed_mask(raw: str, lineno: int, alphabet: Alphabet) -> int:
-    """A clause line through the full clause parser: the spellings the
-    literal table does not hold (`- a`), or the parser's error."""
-    raw_clause = parse_clause_body(raw, lineno)
-    try:
-        return resolve_clause(raw_clause, alphabet).mask
-    except UndeclaredSymbolError as err:
-        raise UndeclaredSymbolError(str(err), line=lineno) from None
-
-
 def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
-    """Read snapshot text into a state; `#` lines (the fingerprint too) are comments."""
+    """Read snapshot text into a state; `#` lines (the fingerprint too) are comments.
+
+    A clause line whose literals are all in the alphabet's text table is
+    read from it; any other spelling (`- a`), or an error, goes through the
+    KB clause parser.
+    """
     bit_of_text = alphabet.bit_of_text
     sections: dict[str, list[int]] = {}
     current: list[int] | None = None
@@ -366,7 +347,10 @@ def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
             for token in line.split("|"):
                 bit = bit_of_text.get(token.strip())
                 if bit is None:
-                    mask = _parsed_mask(raw, lineno, alphabet)
+                    try:
+                        mask = resolve_clause(parse_clause_body(raw, lineno), alphabet)
+                    except UndeclaredSymbolError as err:
+                        raise UndeclaredSymbolError(str(err), line=lineno) from None
                     break
                 mask |= bit
         current.append(mask)
@@ -390,16 +374,16 @@ def write_snapshot(state: CompiledState, path) -> None:
         fh.write(f"{_FINGERPRINT}{fingerprint(source, sections)}\n{sections}")
 
 
-def read_snapshot(path, alphabet: Alphabet, clauses: Iterable[Clause]) -> CompiledState:
+def read_snapshot(path, alphabet: Alphabet, clauses: Iterable[int]) -> CompiledState:
     """Read a snapshot file, refusing one whose fingerprint line is missing
-    or does not match `alphabet`, the knowledge `clauses` and the sections
-    (StaleSnapshotError)."""
+    or does not match `alphabet`, the knowledge clause masks `clauses` and
+    the sections (StaleSnapshotError)."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     header, _, sections = text.partition("\n")
     if not header.startswith(_FINGERPRINT):
         raise StaleSnapshotError(f"snapshot {path} has no fingerprint line; compile it again")
-    source = _source(alphabet, (c.mask for c in clauses))
+    source = _source(alphabet, clauses)
     if header != _FINGERPRINT + fingerprint(source, sections):
         raise StaleSnapshotError(
             f"snapshot {path} was compiled from other declarations or clauses, "

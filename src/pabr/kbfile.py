@@ -10,7 +10,9 @@ before use:
     fact <lit> | <lit> | ...        session facts
 
 Literals negate with a leading "-" or "!". A bare `clause`/`fact` line
-asserts the empty clause.
+asserts the empty clause. `parse_kb_text` keeps clause lines as literal
+names; `build_kb` declares the symbols and resolves each line straight to
+its clause mask (`logic.resolve_clause`), with no literal objects.
 """
 
 from __future__ import annotations
@@ -117,26 +119,9 @@ def parse_kb_file(path) -> KbDocument:
         return parse_kb_text(fh.read())
 
 
-def _raw_clause_text(clause: RawClause) -> str:
-    return " | ".join(("-" if negated else "") + name for negated, name in clause)
-
-
-def serialize_kb(doc: KbDocument) -> str:
-    """Write a document back to text; parsing the result yields an equal document."""
-    lines = []
-    for name, prob in doc.assumptions:
-        lines.append(f"assumption {name} {prob!r}")
-    if doc.propositions:
-        lines.append("prop " + " ".join(doc.propositions))
-    for clause in doc.knowledge:
-        lines.append(("clause " + _raw_clause_text(clause)).rstrip())
-    for clause in doc.facts:
-        lines.append(("fact " + _raw_clause_text(clause)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def build_kb(doc: KbDocument) -> tuple[KnowledgeBase, AssumptionTable]:
-    """Resolve names into symbols; assumptions take the low indices."""
+    """Resolve names into symbols and clause lines into clause masks;
+    assumptions take the low indices."""
     alphabet = Alphabet()
     entries = []
     for name, prob in doc.assumptions:

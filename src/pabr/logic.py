@@ -2,12 +2,15 @@
 
 Symbols are split into two kinds. Propositions describe the domain;
 assumptions are the uncertain symbols that later carry probabilities.
-Clauses (disjunctions) and terms (conjunctions) are literal sets with
-set semantics, so duplicate literals collapse and order is irrelevant
-for equality. Every ordered view sorts literals by declaration index,
-positive before negative, which keeps all downstream output deterministic.
-Each literal set also carries a bitmask (bit 2i for symbol i, bit 2i+1 for
-its negation), on which subsumption and resolution are integer operations.
+A clause (disjunction) or term (conjunction) is a set of literals, kept as
+a bitmask: bit 2i for symbol i, bit 2i+1 for its negation. Masks are the
+only clause representation from a KB line (`resolve_clause`) and a
+formula's clause form (`to_cnf`) to the folds, where subsumption and
+resolution are integer operations. Ascending bits follow declaration
+order, positive before negative, which keeps all downstream output
+deterministic. `Literal`, `Clause` and `Term` are read-only views of masks
+for callers that want objects; `Alphabet.clause_of` and `term_of` build
+them.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class Alphabet:
 
     def __init__(self):
         self._by_name: dict[str, Symbol] = {}
-        self._by_bit: dict[int, Literal] = {}
+        self._symbols: list[Symbol] = []
+        self._literals: dict[int, Literal] = {}  # views made so far, by bit
         # literal text ("a", "-a", "!a") to its bit, and bit to canonical text
         self.bit_of_text: dict[str, int] = {}
         self.text_of_bit: dict[int, str] = {}
@@ -59,13 +63,14 @@ class Alphabet:
             raise ValueError(f"invalid symbol name: {name!r}")
         if name in self._by_name:
             raise ValueError(f"symbol declared twice: {name}")
-        sym = Symbol(name, kind, len(self._by_name))
+        sym = Symbol(name, kind, len(self._symbols))
         self._by_name[name] = sym
-        for lit in (Literal(sym, True), Literal(sym, False)):
-            self._by_bit[lit.bit] = lit
-            self.text_of_bit[lit.bit] = str(lit)
-            self.bit_of_text[str(lit)] = lit.bit
-        self.bit_of_text["!" + name] = self.bit_of_text["-" + name]
+        self._symbols.append(sym)
+        positive = 1 << 2 * sym.index
+        self.text_of_bit[positive] = name
+        self.text_of_bit[positive << 1] = "-" + name
+        self.bit_of_text[name] = positive
+        self.bit_of_text["-" + name] = self.bit_of_text["!" + name] = positive << 1
         return sym
 
     def lookup(self, name: str) -> Symbol:
@@ -75,30 +80,39 @@ class Alphabet:
             raise UndeclaredSymbolError(f"undeclared identifier: {name}") from None
 
     def clause_of(self, mask: int) -> Clause:
-        """The clause whose literal bits are `mask`."""
+        """The clause view of the literal bits `mask`."""
         return Clause(self.literals_of(mask))
 
     def term_of(self, mask: int) -> Term:
-        """The term whose literal bits are `mask`."""
+        """The term view of the literal bits `mask`."""
         return Term(self.literals_of(mask))
 
     def literals_of(self, mask: int) -> frozenset[Literal]:
-        return frozenset(self._by_bit[b] for b in bits(mask))
+        return frozenset(map(self._literal, bits(mask)))
+
+    def _literal(self, bit: int) -> Literal:
+        lit = self._literals.get(bit)
+        if lit is None:
+            index, negated = divmod(bit.bit_length() - 1, 2)
+            lit = self._literals[bit] = Literal(self._symbols[index], not negated)
+        return lit
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
-        return tuple(self._by_name.values())
+        return tuple(self._symbols)
 
     @property
     def assumptions(self) -> tuple[Symbol, ...]:
-        return tuple(s for s in self._by_name.values() if s.kind == ASSUMPTION)
+        return tuple(s for s in self._symbols if s.kind == ASSUMPTION)
 
     def __len__(self):
-        return len(self._by_name)
+        return len(self._symbols)
 
 
 @dataclass(frozen=True)
 class Literal:
+    """A symbol or its negation: the view of one mask bit."""
+
     symbol: Symbol
     positive: bool = True
 
@@ -127,7 +141,7 @@ def _sorted_literals(literals: Iterable[Literal]) -> tuple[Literal, ...]:
 
 @dataclass(frozen=True)
 class _LiteralSet:
-    """Common behaviour of clauses and terms: a frozenset of literals.
+    """Common behaviour of clause and term views: a frozenset of literals.
 
     `mask` is the OR of the literals' bits, fixed at construction; equality
     and hashing stay on `literals`.
@@ -159,12 +173,6 @@ class _LiteralSet:
     @property
     def is_assumption_only(self) -> bool:
         return all(l.symbol.kind == ASSUMPTION for l in self.literals)
-
-    def subsumes(self, other) -> bool:
-        """True when this element is a superset of `other` (same kind and alphabet only)."""
-        if type(self) is not type(other):
-            raise TypeError(f"cannot compare {type(self).__name__} with {type(other).__name__}")
-        return other.mask & self.mask == other.mask
 
     @property
     def sort_key(self) -> tuple[tuple[int, int], ...]:
@@ -216,10 +224,6 @@ class Term(_LiteralSet):
         return f"Term({self})"
 
 
-EMPTY_CLAUSE = Clause(frozenset())
-EMPTY_TERM = Term(frozenset())
-
-
 def mu_minimize(items: Iterable) -> frozenset:
     """Keep exactly the elements that strictly subsume no other element.
 
@@ -263,6 +267,11 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low
         mask ^= low
+
+
+def canonical(masks: Iterable[int]) -> list[int]:
+    """Masks by ascending literal bits, lexicographically: the order of `Clause.sort_key`."""
+    return sorted(masks, key=lambda m: [b.bit_length() for b in bits(m)])
 
 
 def is_tautology(mask: int, even: int) -> bool:
@@ -316,11 +325,12 @@ def literal_columns(body: str, offset: int = 0) -> list[int]:
     return columns
 
 
-def resolve_clause(raw: RawClause, alphabet: Alphabet) -> Clause:
-    """The clause of `raw` over `alphabet`; an unknown name raises UndeclaredSymbolError."""
-    return Clause(
-        frozenset(Literal(alphabet.lookup(name), not negated) for negated, name in raw)
-    )
+def resolve_clause(raw: RawClause, alphabet: Alphabet) -> int:
+    """The clause mask of `raw` over `alphabet`; an unknown name raises UndeclaredSymbolError."""
+    mask = 0
+    for negated, name in raw:
+        mask |= 1 << 2 * alphabet.lookup(name).index + negated
+    return mask
 
 
 # --- formulas ---------------------------------------------------------------
@@ -474,23 +484,20 @@ def _polar_postorder(f: Formula) -> list[tuple[Formula, bool]]:
     return order
 
 
-def to_cnf(formula: Formula) -> frozenset[Clause]:
-    """Equivalence-preserving clause form.
+def to_cnf(formula: Formula) -> frozenset[int]:
+    """Equivalence-preserving clause form, as clause masks.
 
     No auxiliary symbols are introduced: every disjunction distributes over
     its operands' clauses directly, so k alternations can give 2^k clauses.
     Tautologies and subsumed clauses are dropped at every node, so a valid
-    formula yields the empty clause set. Works on clause bitmasks.
+    formula yields the empty clause set.
     """
     order = _polar_postorder(formula)
     even = even_bits(1 + max(n.symbol.index for n, _ in order if isinstance(n, Atom)))
-    literal_of: dict[int, Literal] = {}
     values: list[list[int]] = []
     for node, negated in order:
         if isinstance(node, Atom):
-            lit = Literal(node.symbol, not negated)
-            literal_of[lit.bit] = lit
-            values.append([lit.bit])
+            values.append([1 << 2 * node.symbol.index + negated])
             continue
         right, left = values.pop(), values.pop()
         if isinstance(node, And) != negated:
@@ -498,9 +505,7 @@ def to_cnf(formula: Formula) -> frozenset[Clause]:
         else:
             merged = (a | b for a in left for b in right)
             values.append(minimal_masks(m for m in merged if not is_tautology(m, even)))
-    return frozenset(
-        Clause(frozenset(literal_of[b] for b in bits(m))) for m in values.pop()
-    )
+    return frozenset(values.pop())
 
 
 def clause_to_formula(clause: Clause) -> Formula:

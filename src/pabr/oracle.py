@@ -57,7 +57,7 @@ def build_hint(kb: KnowledgeBase) -> HintModel:
         )
     assumption_syms = table.symbols
     project = _projection([s.index for s in assumption_syms])
-    clauses = kb.clauses
+    clauses = [kb.alphabet.clause_of(m) for m in kb.clauses]
 
     gamma: dict[Configuration, list[tuple[int, ...]]] = {}
     for config in product((0, 1), repeat=len(assumption_syms)):

@@ -21,6 +21,7 @@ from .logic import (
     Formula,
     Not,
     Term,
+    canonical,
     even_bits,
     is_tautology,
     mu_minimize,
@@ -36,17 +37,18 @@ if TYPE_CHECKING:
 class KnowledgeBase:
     """One reasoning problem: alphabet, assumption probabilities, clauses.
 
-    sigma_k holds the stable knowledge, sigma_f the session facts; their
-    concatenation is what every query reasons over.
+    sigma_k holds the stable knowledge, sigma_f the session facts, both as
+    clause masks over `alphabet` (`alphabet.clause_of` gives a `Clause`
+    view); their concatenation is what every query reasons over.
     """
 
     alphabet: Alphabet
     assumptions: "AssumptionTable"
-    sigma_k: tuple[Clause, ...]
-    sigma_f: tuple[Clause, ...] = ()
+    sigma_k: tuple[int, ...]
+    sigma_f: tuple[int, ...] = ()
 
     @property
-    def clauses(self) -> tuple[Clause, ...]:
+    def clauses(self) -> tuple[int, ...]:
         return self.sigma_k + self.sigma_f
 
 
@@ -122,16 +124,15 @@ def minimal_quasi_supports(
     """Minimal quasi-supports of `hypothesis` plus the minimal contradictions.
 
     The compiled state for the clause set is `extend`ed, query-locally, with
-    the clause form of the negated hypothesis, just like the facts; the
-    assumption-only minimal implicates of that extension negate into the
-    quasi-support terms.
+    the clause masks of the negated hypothesis in canonical order, just like
+    the facts; the assumption-only minimal implicates of that extension
+    negate into the quasi-support terms.
     """
     if state is None:
         state = compile_kb(kb)
     mc = _state_terms(state)
     query_state = state
-    negated = sorted(to_cnf(Not(hypothesis)), key=lambda c: c.sort_key)
-    for clause in negated:
+    for clause in canonical(to_cnf(Not(hypothesis))):
         query_state = extend(query_state, clause)
     mqs = _state_terms(query_state)
     return SupportSets(mqs=mqs, mc=mc)

@@ -60,6 +60,14 @@ def term(*pairs):
     return Term(lits(*pairs))
 
 
+def mask(*pairs):
+    """The literal bitmask of `clause(*pairs)`: bit 2i for symbol i, 2i+1 for its negation."""
+    out = 0
+    for sym, positive in pairs:
+        out |= 1 << 2 * sym.index + (not positive)
+    return out
+
+
 # --- formulas, recursively ------------------------------------------------------
 
 
@@ -92,12 +100,12 @@ def render(f):
 
 
 def clause_masks(c):
+    """(positive, negative) symbol-index masks of a `Clause` or a clause's literal bitmask."""
+    literal_bits = c if isinstance(c, int) else c.mask
     pos = neg = 0
-    for lit in c.literals:
-        if lit.positive:
-            pos |= 1 << lit.symbol.index
-        else:
-            neg |= 1 << lit.symbol.index
+    for i in range(0, literal_bits.bit_length(), 2):
+        pos |= (literal_bits >> i & 1) << i // 2
+        neg |= (literal_bits >> i + 1 & 1) << i // 2
     return pos, neg
 
 
@@ -169,7 +177,7 @@ def batch_carc(clauses, alphabet):
 
     field = ProductionField.assumption_only(alphabet)
     found = enumerate_min_implicates(clauses, alphabet, assumption_only=True)
-    return mu_minimize(found | field.seed_clauses())
+    return mu_minimize(found | set(map(alphabet.clause_of, field.seed_masks())))
 
 
 def batch_pi(clauses, alphabet):
@@ -178,7 +186,7 @@ def batch_pi(clauses, alphabet):
 
     field = ProductionField.all_clauses(alphabet)
     found = enumerate_min_implicates(clauses, alphabet, assumption_only=False)
-    return mu_minimize(found | field.seed_clauses())
+    return mu_minimize(found | set(map(alphabet.clause_of, field.seed_masks())))
 
 
 def brute_u_prime(kb, h_clause):
@@ -285,7 +293,7 @@ def reference_produce_masks(sides, clause, field, kept=()):
     alphabet = field.alphabet
     sigma = [alphabet.clause_of(m) for m in (*sides, *kept)]
     fresh = reference_produce(sigma, alphabet.clause_of(clause), field)
-    seed = [c for c in map(alphabet.clause_of, kept) if field.contains(c)]
+    seed = [alphabet.clause_of(m) for m in kept if not m & field.outside]
     return [c.mask for c in mu_minimize([*seed, *fresh])]
 
 
@@ -296,11 +304,11 @@ def reference_pi_add(state, clause):
 
     from pabr.consequence import ProductionField, _union, produce
 
-    processed = state.processed_masks + (clause.mask,)
-    if clause.is_tautology:
+    processed = state.processed_masks + (clause,)
+    if state.field.alphabet.clause_of(clause).is_tautology:
         return replace(state, processed_masks=processed)
     full = ProductionField.all_clauses(state.field.alphabet)
-    pi = _union(state.pi_masks, produce(tuple(state.pi_masks), clause.mask, full))
+    pi = _union(state.pi_masks, produce(tuple(state.pi_masks), clause, full))
     carc = frozenset(m for m in pi if not m & state.field.outside)
     return replace(state, carc_masks=carc, processed_masks=processed, pi_masks=pi)
 
@@ -309,9 +317,9 @@ def reference_pi_add(state, clause):
 
 
 def reference_parse_snapshot(text, alphabet):
-    """Snapshot sections as `Clause` lists, every line through the KB clause parser.
+    """Snapshot sections as clause mask lists, every line through the KB clause parser.
 
-    The Clause-level reader that `consequence.parse_snapshot` replaced, kept
+    The line-by-line reader that `consequence.parse_snapshot` replaced, kept
     to compare masks, error types, messages and line numbers against.
     """
     from pabr.errors import ParseError, UndeclaredSymbolError
@@ -355,6 +363,20 @@ def reference_snapshot_text(carc, pi, processed):
     return "\n".join(lines) + "\n"
 
 
+def serialize_kb(doc):
+    """Write a `KbDocument` back to text; parsing the result yields an equal document."""
+
+    def text(clause):
+        return " | ".join(("-" if negated else "") + name for negated, name in clause)
+
+    lines = [f"assumption {name} {prob!r}" for name, prob in doc.assumptions]
+    if doc.propositions:
+        lines.append("prop " + " ".join(doc.propositions))
+    lines += [("clause " + text(c)).rstrip() for c in doc.knowledge]
+    lines += [("fact " + text(c)).rstrip() for c in doc.facts]
+    return "\n".join(lines) + "\n"
+
+
 # --- random instances ---------------------------------------------------------
 
 
@@ -373,7 +395,7 @@ def random_kb(rng, min_syms=2, max_syms=6, min_clauses=3, max_clauses=10):
     sigma_k, sigma_f = [], []
     for _ in range(rng.randint(min_clauses, max_clauses)):
         target = sigma_f if rng.random() < 0.25 else sigma_k
-        target.append(random_clause(rng, symbols))
+        target.append(random_clause(rng, symbols).mask)
     return (
         KnowledgeBase(
             alphabet=alphabet,
@@ -392,7 +414,7 @@ def small_random_kb(rng, max_total_syms=8, min_clauses=3, max_clauses=8):
     table = AssumptionTable(tuple((s, rng.choice(Q_CHOICES)) for s in assumptions))
     symbols = list(alphabet.symbols)
     sigma_k = tuple(
-        random_clause(rng, symbols) for _ in range(rng.randint(min_clauses, max_clauses))
+        random_clause(rng, symbols).mask for _ in range(rng.randint(min_clauses, max_clauses))
     )
     return (
         KnowledgeBase(alphabet=alphabet, assumptions=table, sigma_k=sigma_k),

@@ -19,7 +19,8 @@ from pabr.consequence import (
     write_snapshot,
 )
 from pabr.errors import ParseError
-from pabr.logic import Clause, EMPTY_CLAUSE, Literal, mu_minimize
+from pabr.kbfile import build_kb, parse_kb_text
+from pabr.logic import Not, mu_minimize, parse_formula, to_cnf
 
 import helpers
 
@@ -31,27 +32,32 @@ expected_pi = helpers.batch_pi
 # --- fields --------------------------------------------------------------------
 
 
+def contains(field, mask):
+    """Field membership on masks: no literal bit outside the field."""
+    return not mask & field.outside
+
+
 def test_field_membership():
     alphabet, (a1, a2), (p,) = helpers.make_alphabet(2, 1)
     pa = ProductionField.assumption_only(alphabet)
-    assert pa.contains(helpers.clause((a1, False), (a2, False)))
-    assert not pa.contains(helpers.clause((a1, False), (p, True)))
-    assert pa.contains(EMPTY_CLAUSE)
+    assert contains(pa, helpers.mask((a1, False), (a2, False)))
+    assert not contains(pa, helpers.mask((a1, False), (p, True)))
+    assert contains(pa, 0)
     pn = ProductionField.all_clauses(alphabet)
-    assert pn.contains(helpers.clause((a1, False), (p, True)))
-    assert pn.contains(EMPTY_CLAUSE)
+    assert contains(pn, helpers.mask((a1, False), (p, True)))
+    assert contains(pn, 0)
 
 
 def test_seed_clauses():
     alphabet, (a1, a2), (p,) = helpers.make_alphabet(2, 1)
     pa = ProductionField.assumption_only(alphabet)
-    assert pa.seed_clauses() == {
-        helpers.clause((a1, True), (a1, False)),
-        helpers.clause((a2, True), (a2, False)),
+    assert pa.seed_masks() == {
+        helpers.mask((a1, True), (a1, False)),
+        helpers.mask((a2, True), (a2, False)),
     }
     pn = ProductionField.all_clauses(alphabet)
-    assert pn.seed_clauses() == {
-        helpers.clause((s, True), (s, False)) for s in (a1, a2, p)
+    assert pn.seed_masks() == {
+        helpers.mask((s, True), (s, False)) for s in (a1, a2, p)
     }
 
 
@@ -64,29 +70,35 @@ def test_field_stability_under_subclauses():
     ):
         for _ in range(40):
             c = helpers.random_clause(rng, list(alphabet.symbols))
-            if not field.contains(c):
+            if not contains(field, c.mask):
                 continue
-            lits = list(c.literals)
+            lits = [(l.symbol, l.positive) for l in c.literals]
             for k in range(len(lits) + 1):
                 for sub in combinations(lits, k):
-                    assert field.contains(Clause(frozenset(sub)))
+                    assert contains(field, helpers.mask(*sub))
 
 
 # --- produce ---------------------------------------------------------------------
 
 
 def produced(sigma, clause, field):
-    """`produce` on the clauses' masks, its distinct results as clauses."""
-    out = produce([c.mask for c in sigma], clause.mask, field)
+    """`produce` on clause masks, its distinct results as clauses."""
+    out = produce(list(sigma), clause, field)
     assert len(set(out)) == len(out)
     return frozenset(map(field.alphabet.clause_of, out))
+
+
+def reference_produced(sigma, clause, field):
+    """`helpers.reference_produce` on the clause views of masks."""
+    clause_of = field.alphabet.clause_of
+    return helpers.reference_produce(list(map(clause_of, sigma)), clause_of(clause), field)
 
 
 def test_produce_resolves_into_field():
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
     pa = ProductionField.assumption_only(alphabet)
-    sigma = [helpers.clause((a1, False), (p, True))]
-    out = produced(sigma, helpers.clause((p, False)), pa)
+    sigma = [helpers.mask((a1, False), (p, True))]
+    out = produced(sigma, helpers.mask((p, False)), pa)
     assert out == {helpers.clause((a1, False))}
 
 
@@ -94,7 +106,7 @@ def test_produce_clause_already_in_field():
     alphabet, (a1, a2), _ = helpers.make_alphabet(2, 0)
     pa = ProductionField.assumption_only(alphabet)
     c = helpers.clause((a1, False), (a2, False))
-    assert produced([], c, pa) == {c}
+    assert produced([], c.mask, pa) == {c}
 
 
 def test_produce_mixed_resolvents_filtered_out():
@@ -103,8 +115,8 @@ def test_produce_mixed_resolvents_filtered_out():
     burglary = alphabet.declare("burglary", helpers.PROPOSITION)
     alarm = alphabet.declare("alarm", helpers.PROPOSITION)
     pa = ProductionField.assumption_only(alphabet)
-    sigma = [helpers.clause((burglary, False), (a1, False), (alarm, True))]
-    assert produced(sigma, helpers.clause((alarm, False)), pa) == frozenset()
+    sigma = [helpers.mask((burglary, False), (a1, False), (alarm, True))]
+    assert produced(sigma, helpers.mask((alarm, False)), pa) == frozenset()
 
 
 def test_produce_contract_against_enumeration():
@@ -120,7 +132,7 @@ def test_produce_contract_against_enumeration():
         assert merged == expected_carc(clauses, alphabet)
         # seeded with the prime implicates of sigma, no sides: those of sigma + [last]
         full = ProductionField.all_clauses(alphabet)
-        out = produce((), last.mask, full, masks(expected_pi(sigma, alphabet)))
+        out = produce((), last, full, masks(expected_pi(sigma, alphabet)))
         assert len(set(out)) == len(out)
         assert frozenset(map(alphabet.clause_of, out)) == expected_pi(clauses, alphabet)
         tautology = 3  # s | -s for the first symbol: adds nothing to the seed
@@ -128,7 +140,7 @@ def test_produce_contract_against_enumeration():
 
 
 def _messy_clauses(rng, symbols, count):
-    """Width-2/3 clauses with tautologies, duplicates and the empty clause mixed in."""
+    """Width-2/3 clause masks with tautologies, duplicates and the empty clause mixed in."""
     out = []
     for _ in range(count):
         roll = rng.random()
@@ -136,13 +148,12 @@ def _messy_clauses(rng, symbols, count):
             out.append(rng.choice(out))
         elif roll < 0.2:
             s, t = rng.choice(symbols), rng.choice(symbols)
-            third = Literal(t, rng.random() < 0.5)
-            out.append(Clause.of(Literal(s, True), Literal(s, False), third))
+            out.append(helpers.mask((s, True), (s, False), (t, rng.random() < 0.5)))
         elif roll < 0.25:
-            out.append(EMPTY_CLAUSE)
+            out.append(0)
         else:
             chosen = rng.sample(symbols, rng.randint(2, min(3, len(symbols))))
-            out.append(Clause(frozenset(Literal(s, rng.random() < 0.5) for s in chosen)))
+            out.append(helpers.mask(*((s, rng.random() < 0.5) for s in chosen)))
     return out
 
 
@@ -157,7 +168,7 @@ def test_produce_matches_the_frozenset_reference(monkeypatch):
             ProductionField.assumption_only(alphabet),
             ProductionField.all_clauses(alphabet),
         ):
-            assert produced(sigma, last, field) == helpers.reference_produce(sigma, last, field)
+            assert produced(sigma, last, field) == reference_produced(sigma, last, field)
         cases.append((alphabet, clauses, compile_clauses(alphabet, clauses, with_pi=True)))
     # the same folds with the reference in place of the kernel
     monkeypatch.setattr("pabr.consequence.produce", helpers.reference_produce_masks)
@@ -184,7 +195,7 @@ def _with_units(rng, symbols, count):
     """`_messy_clauses` with unit clauses of either sign over any symbol mixed in."""
     out = _messy_clauses(rng, symbols, count)
     for _ in range(rng.randint(1, 4)):
-        unit = Clause.of(Literal(rng.choice(symbols), rng.random() < 0.5))
+        unit = helpers.mask((rng.choice(symbols), rng.random() < 0.5))
         out.insert(rng.randint(0, len(out)), unit)
     return out
 
@@ -209,37 +220,38 @@ def test_unit_conditioning_matches_the_resolution_route():
         alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
         clauses = _with_units(rng, list(alphabet.symbols), rng.randint(1, 8))
         for c, before in zip(clauses, _pi_folds(alphabet, clauses)):
-            if len(c) == 1:
-                (lit,) = c.literals
+            view = alphabet.clause_of(c)
+            if len(view) == 1:
+                (lit,) = view.literals
                 seen[lit.symbol.kind] += 1
                 seen["on_empty"] += 0 in before.pi_masks
-                seen["already_prime"] += c.mask in before.pi_masks
+                seen["already_prime"] += c in before.pi_masks
     assert all(seen.values()), seen
 
 
 def _units(*pairs):
-    return [helpers.clause(pair) for pair in pairs]
+    return [helpers.mask(pair) for pair in pairs]
 
 
 def test_unit_conditioning_edge_cases():
     alphabet, (a1, a2), (p, q, r) = helpers.make_alphabet(2, 3)
     cases = {
         # a unit on an already inconsistent state
-        "on_empty": [helpers.clause((p, True)), helpers.clause((p, False)), helpers.clause((a1, True))],
-        "on_empty_clause": [EMPTY_CLAUSE, helpers.clause((q, False))],
+        "on_empty": [helpers.mask((p, True)), helpers.mask((p, False)), helpers.mask((a1, True))],
+        "on_empty_clause": [0, helpers.mask((q, False))],
         "complementary": _units((a1, True), (a1, False)),
-        "complementary_props": [helpers.clause((a1, False), (p, True)), *_units((q, True), (q, False))],
+        "complementary_props": [helpers.mask((a1, False), (p, True)), *_units((q, True), (q, False))],
         # p | a1 and -p | a1 make a1 prime before the unit a1 arrives
         "already_prime": [
-            helpers.clause((p, True), (a1, True)),
-            helpers.clause((p, False), (a1, True)),
-            helpers.clause((a1, True)),
+            helpers.mask((p, True), (a1, True)),
+            helpers.mask((p, False), (a1, True)),
+            helpers.mask((a1, True)),
         ],
         # r occurs only in its tautology seed
-        "seed_only": [helpers.clause((a1, False), (p, True)), helpers.clause((r, True))],
+        "seed_only": [helpers.mask((a1, False), (p, True)), helpers.mask((r, True))],
         "strips_to_units": [
-            helpers.clause((a1, False), (p, True)),
-            helpers.clause((a2, False), (p, False), (q, True)),
+            helpers.mask((a1, False), (p, True)),
+            helpers.mask((a2, False), (p, False), (q, True)),
             *_units((a1, True), (a2, True)),
         ],
     }
@@ -247,7 +259,7 @@ def test_unit_conditioning_edge_cases():
         state = _pi_folds(alphabet, clauses)[-1]
         assert state.pi == expected_pi(clauses, alphabet), name
         assert state.carc == expected_carc(clauses, alphabet), name
-    assert _pi_folds(alphabet, cases["on_empty"])[-1].pi == {EMPTY_CLAUSE}
+    assert _pi_folds(alphabet, cases["on_empty"])[-1].pi == {helpers.clause()}
     assert _pi_folds(alphabet, cases["seed_only"])[-1].pi == {
         helpers.clause((a1, False), (p, True)),
         helpers.clause((r, True)),
@@ -255,10 +267,11 @@ def test_unit_conditioning_edge_cases():
     }
 
 
-def _random_antichain(rng, symbols):
+def _random_antichain(rng, alphabet):
+    symbols = list(alphabet.symbols)
     clauses = _messy_clauses(rng, symbols, rng.randint(0, 6))
-    clauses += [Clause.of(Literal(s, rng.random() < 0.5)) for s in rng.sample(symbols, 1)]
-    return mu_minimize(clauses)
+    clauses += [helpers.mask((s, rng.random() < 0.5)) for s in rng.sample(symbols, 1)]
+    return mu_minimize(map(alphabet.clause_of, clauses))
 
 
 def masks(clauses):
@@ -270,14 +283,13 @@ def test_union_equals_mu_minimize_of_the_merged_antichains():
     saw_equal = saw_empty = False
     for _ in range(300):
         alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 3), rng.randint(1, 3))
-        symbols = list(alphabet.symbols)
-        old = _random_antichain(rng, symbols)
-        fresh = _random_antichain(rng, symbols)
+        old = _random_antichain(rng, alphabet)
+        fresh = _random_antichain(rng, alphabet)
         if rng.random() < 0.3:
             # share members between the two sets
             fresh = mu_minimize(fresh | set(rng.sample(sorted(old, key=len), 1)))
         saw_equal |= bool(old & fresh)
-        saw_empty |= EMPTY_CLAUSE in old | fresh
+        saw_empty |= helpers.clause() in old | fresh
         want = masks(mu_minimize(old | fresh))
         assert _union(masks(old), masks(fresh)) == want
         assert _union(masks(fresh), masks(old)) == want
@@ -294,7 +306,7 @@ def test_initial_state_is_seeds():
         helpers.clause((a1, True), (a1, False)),
         helpers.clause((a2, True), (a2, False)),
     }
-    assert state.processed == ()
+    assert state.processed_masks == ()
     assert state.pi is None
 
 
@@ -302,37 +314,37 @@ def test_extend_keeps_unrelated_tautologies():
     alphabet, (a1, a2), _ = helpers.make_alphabet(2, 0)
     state = CompiledState.initial(ProductionField.assumption_only(alphabet))
     c = helpers.clause((a1, False), (a2, False))
-    state = extend(state, c)
+    state = extend(state, c.mask)
     assert state.carc == {
         helpers.clause((a1, True), (a1, False)),
         helpers.clause((a2, True), (a2, False)),
         c,
     }
-    assert state.processed == (c,)
+    assert state.processed_masks == (c.mask,)
 
 
 def test_extend_tautology_is_a_no_op_on_carc():
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
-    state = compile_clauses(alphabet, [helpers.clause((a1, False), (p, True))])
-    taut = helpers.clause((p, True), (p, False))
+    state = compile_clauses(alphabet, [helpers.mask((a1, False), (p, True))])
+    taut = helpers.mask((p, True), (p, False))
     after = extend(state, taut)
     assert after.carc == state.carc
-    assert after.processed == state.processed + (taut,)
+    assert after.processed_masks == state.processed_masks + (taut,)
 
 
 def test_inconsistent_clauses_collapse_to_empty_clause():
     alphabet, _, (p,) = helpers.make_alphabet(1, 1)
     state = compile_clauses(
-        alphabet, [helpers.clause((p, True)), helpers.clause((p, False))]
+        alphabet, [helpers.mask((p, True)), helpers.mask((p, False))]
     )
-    assert state.carc == {EMPTY_CLAUSE}
+    assert state.carc == {helpers.clause()}
     assert state.is_plainly_inconsistent
 
 
 def test_unit_assumption_clause_subsumes_its_seed():
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
     state = compile_clauses(
-        alphabet, [helpers.clause((a1, False), (p, True)), helpers.clause((p, False))]
+        alphabet, [helpers.mask((a1, False), (p, True)), helpers.mask((p, False))]
     )
     # the derived {-a1} evicts the a1 tautology seed
     assert state.carc == {helpers.clause((a1, False))}
@@ -345,31 +357,31 @@ def test_pi_seed_and_unit_add():
     alphabet, _, (p,) = helpers.make_alphabet(0, 1)
     state = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi=True)
     assert state.pi == {helpers.clause((p, True), (p, False))}
-    state = pi_add(state, helpers.clause((p, True)))
+    state = pi_add(state, helpers.mask((p, True)))
     assert state.pi == {helpers.clause((p, True))}
 
 
 def test_pi_chain_propagates_units():
     alphabet, _, (p, q) = helpers.make_alphabet(0, 2)
     state = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi=True)
-    state = pi_add(state, helpers.clause((p, True)))
-    state = pi_add(state, helpers.clause((p, False), (q, True)))
+    state = pi_add(state, helpers.mask((p, True)))
+    state = pi_add(state, helpers.mask((p, False), (q, True)))
     assert state.pi == {helpers.clause((p, True)), helpers.clause((q, True))}
 
 
 def test_pi_contradiction_leaves_only_empty_clause():
     alphabet, _, (p,) = helpers.make_alphabet(0, 1)
     state = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi=True)
-    state = pi_add(state, helpers.clause((p, True)))
-    state = pi_add(state, helpers.clause((p, False)))
-    assert state.pi == {EMPTY_CLAUSE}
+    state = pi_add(state, helpers.mask((p, True)))
+    state = pi_add(state, helpers.mask((p, False)))
+    assert state.pi == {helpers.clause()}
 
 
 def test_pi_add_requires_pi_tracking():
     alphabet, _, (p,) = helpers.make_alphabet(0, 1)
     state = CompiledState.initial(ProductionField.assumption_only(alphabet))
     with pytest.raises(ValueError):
-        pi_add(state, helpers.clause((p, True)))
+        pi_add(state, helpers.mask((p, True)))
 
 
 # --- incremental equals batch ---------------------------------------------------
@@ -418,7 +430,7 @@ def test_facts_fold_through_pi_of_a_snapshot():
         carc_only = compile_clauses(kb.alphabet, kb.sigma_k)
         assert state.carc == carc_only.carc == expected_carc(kb.sigma_k, kb.alphabet)
         assert state.pi == expected_pi(kb.sigma_k, kb.alphabet)
-        assert state.processed == carc_only.processed
+        assert state.processed_masks == carc_only.processed_masks
 
 
 def _count_produce(monkeypatch):
@@ -437,35 +449,35 @@ def _count_produce(monkeypatch):
 def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
     calls = _count_produce(monkeypatch)
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
-    state = compile_clauses(alphabet, [helpers.clause((a1, False), (p, True))], with_pi)
-    second = helpers.clause((a1, False), (p, False))
+    state = compile_clauses(alphabet, [helpers.mask((a1, False), (p, True))], with_pi)
+    second = helpers.mask((a1, False), (p, False))
     state = extend(state, second)
-    state = extend(state, helpers.clause((p, True), (p, False)))
-    assert calls == [helpers.clause((a1, False), (p, True)).mask, second.mask]
-    assert len(state.processed) == 3
+    state = extend(state, helpers.mask((p, True), (p, False)))
+    assert calls == [helpers.mask((a1, False), (p, True)), second]
+    assert len(state.processed_masks) == 3
 
 
 def test_units_fold_into_prime_implicates_without_produce(monkeypatch):
     calls = _count_produce(monkeypatch)
     alphabet, (a1,), (p, q) = helpers.make_alphabet(1, 2)
-    knowledge = [helpers.clause((a1, False), (p, True)), helpers.clause((p, False), (q, True))]
+    knowledge = [helpers.mask((a1, False), (p, True)), helpers.mask((p, False), (q, True))]
     state = compile_clauses(alphabet, knowledge, with_pi=True)
-    assert calls == [c.mask for c in knowledge]
+    assert calls == knowledge
     del calls[:]
-    for unit in (helpers.clause((q, False)), helpers.clause((a1, True))):
+    for unit in (helpers.mask((q, False)), helpers.mask((a1, True))):
         state = extend(state, unit)
     assert calls == []
-    assert state.pi == {EMPTY_CLAUSE}
+    assert state.pi == {helpers.clause()}
     # the empty clause is no unit: it takes the resolution route
     fresh = compile_clauses(alphabet, knowledge, with_pi=True)
     del calls[:]
-    assert extend(fresh, EMPTY_CLAUSE).pi == {EMPTY_CLAUSE}
+    assert extend(fresh, 0).pi == {helpers.clause()}
     assert calls == [0]
     # on a carc-only state every clause is resolved
     carc_only = compile_clauses(alphabet, knowledge)
     del calls[:]
-    extend(carc_only, helpers.clause((q, False)))
-    assert calls == [helpers.clause((q, False)).mask]
+    extend(carc_only, helpers.mask((q, False)))
+    assert calls == [helpers.mask((q, False))]
 
 
 # --- snapshots -------------------------------------------------------------------
@@ -473,7 +485,7 @@ def test_units_fold_into_prime_implicates_without_produce(monkeypatch):
 
 def test_snapshot_round_trip_with_pi(tmp_path):
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
-    clauses = [helpers.clause((a1, False), (p, True)), helpers.clause((p, False))]
+    clauses = [helpers.mask((a1, False), (p, True)), helpers.mask((p, False))]
     state = compile_clauses(alphabet, clauses, with_pi=True)
     path = tmp_path / "kb.snap"
     write_snapshot(state, path)
@@ -482,7 +494,7 @@ def test_snapshot_round_trip_with_pi(tmp_path):
 
 def test_snapshot_round_trip_without_pi():
     alphabet, (a1, a2), (p,) = helpers.make_alphabet(2, 1)
-    state = compile_clauses(alphabet, [helpers.clause((a1, False), (p, True))])
+    state = compile_clauses(alphabet, [helpers.mask((a1, False), (p, True))])
     text = snapshot_text(state)
     assert parse_snapshot(text, alphabet) == state
     assert "[pi]" not in text
@@ -491,7 +503,7 @@ def test_snapshot_round_trip_without_pi():
 def test_snapshot_renders_empty_clause_token():
     alphabet, _, (p,) = helpers.make_alphabet(0, 1)
     state = compile_clauses(
-        alphabet, [helpers.clause((p, True)), helpers.clause((p, False))]
+        alphabet, [helpers.mask((p, True)), helpers.mask((p, False))]
     )
     text = snapshot_text(state)
     assert "<empty>" in text
@@ -557,12 +569,8 @@ def _respell(rng, text, alphabet):
             out.append(line)
         else:
             section = helpers.reference_parse_snapshot("[carc]\n" + line + "\n", alphabet)
-            out.append(_spelled(rng, section["carc"][0]))
+            out.append(_spelled(rng, alphabet.clause_of(section["carc"][0])))
     return "\n".join(out) + "\n"
-
-
-def _masks_of(sections, name):
-    return [c.mask for c in sections[name]]
 
 
 def test_mask_reader_matches_the_clause_reader_on_valid_variants():
@@ -574,10 +582,10 @@ def test_mask_reader_matches_the_clause_reader_on_valid_variants():
         saw |= {tok for tok in ("!", "- ", "<empty>", "#") if tok in text}
         ref = helpers.reference_parse_snapshot(text, alphabet)
         got = parse_snapshot(text, alphabet)
-        assert got.carc_masks == frozenset(_masks_of(ref, "carc")) == state.carc_masks
-        assert got.processed_masks == tuple(_masks_of(ref, "processed")) == state.processed_masks
+        assert got.carc_masks == frozenset(ref["carc"]) == state.carc_masks
+        assert got.processed_masks == tuple(ref["processed"]) == state.processed_masks
         if "pi" in ref:
-            assert got.pi_masks == frozenset(_masks_of(ref, "pi")) == state.pi_masks
+            assert got.pi_masks == frozenset(ref["pi"]) == state.pi_masks
         else:
             assert got.pi_masks is None is state.pi_masks
     assert saw == {"!", "- ", "<empty>", "#"}
@@ -640,7 +648,8 @@ def test_snapshot_text_matches_the_clause_rendering():
     rng = random.Random(2024)
     for _ in range(150):
         alphabet, state = _random_state(rng, with_pi=rng.random() < 0.7)
-        want = helpers.reference_snapshot_text(state.carc, state.pi, state.processed)
+        processed = map(alphabet.clause_of, state.processed_masks)
+        want = helpers.reference_snapshot_text(state.carc, state.pi, processed)
         assert snapshot_text(state) == want
 
 
@@ -650,9 +659,34 @@ def test_clause_views_are_the_masks_through_the_alphabet():
         alphabet, state = _random_state(rng, with_pi=rng.random() < 0.5)
         state = parse_snapshot(snapshot_text(state), alphabet)
         assert state.carc == frozenset(map(alphabet.clause_of, state.carc_masks))
-        assert state.processed == tuple(map(alphabet.clause_of, state.processed_masks))
         if state.pi_masks is None:
             assert state.pi is None
         else:
             assert state.pi == frozenset(map(alphabet.clause_of, state.pi_masks))
         assert state.carc is state.carc  # built once
+
+
+# --- no literal objects from KB line to fold ----------------------------------
+
+
+def test_kb_lines_fold_into_snapshots_without_literal_objects(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Literal was made")
+
+    monkeypatch.setattr("pabr.logic.Literal", refuse)
+    kb, _table = build_kb(parse_kb_text(helpers.BURGLAR_TEXT))
+    negated = to_cnf(Not(parse_formula("burglary", kb.alphabet)))
+    states = []
+    for with_pi in (False, True):
+        state = compile_clauses(kb.alphabet, kb.sigma_k, with_pi=with_pi)
+        path = tmp_path / f"pi{with_pi}.snap"
+        write_snapshot(state, path)
+        state = read_snapshot(path, kb.alphabet, kb.sigma_k)
+        for clause in (*kb.sigma_f, *negated):
+            state = extend(state, clause)
+        states.append(state)
+    monkeypatch.undo()
+    # alarm and -burglary leave a2 from `burglary | a2 | -alarm`
+    a2 = kb.alphabet.lookup("a2")
+    for state in states:
+        assert helpers.clause((a2, True)) in state.carc

@@ -1,19 +1,20 @@
-"""KB file parsing, serialization round-trips, symbol resolution."""
+"""KB file parsing, serialization round-trips, resolution to clause masks."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pabr.consequence import parse_snapshot
 from pabr.errors import ParseError
 from pabr.kbfile import (
     KbDocument,
     build_kb,
     parse_kb_text,
-    serialize_kb,
 )
-from pabr.logic import ASSUMPTION, EMPTY_CLAUSE, PROPOSITION
+from pabr.logic import ASSUMPTION, PROPOSITION, Literal
 
 import helpers
+from helpers import serialize_kb
 
 
 def test_parse_burglar_text():
@@ -40,7 +41,7 @@ def test_bare_clause_line_is_the_empty_clause():
     doc = parse_kb_text("prop p\nclause\n")
     assert doc.knowledge == ((),)
     kb, _table = build_kb(doc)
-    assert kb.sigma_k == (EMPTY_CLAUSE,)
+    assert kb.sigma_k == (0,)
 
 
 def test_parse_error_probability_out_of_range():
@@ -146,6 +147,24 @@ def documents(draw):
 @given(documents())
 def test_serialize_round_trip_random_documents(doc):
     assert parse_kb_text(serialize_kb(doc)) == doc
+    kb, _table = build_kb(doc)
+    alphabet = kb.alphabet
+    raw = doc.knowledge + doc.facts
+    masks = kb.sigma_k + kb.sigma_f
+    assert len(masks) == len(raw)
+    for clause, mask in zip(raw, masks):
+        want = {Literal(alphabet.lookup(name), not negated) for negated, name in clause}
+        assert alphabet.clause_of(mask).literals == want
+    # the same literals as snapshot lines, negated by "!", "- " or "-" and
+    # each written twice, read back to the same masks
+    for sign in ("!", "- ", "-"):
+        lines = [
+            " | ".join(sign + name if negated else name for negated, name in clause * 2)
+            or "<empty>"
+            for clause in raw
+        ]
+        text = "[carc]\n[processed]\n" + "".join(line + "\n" for line in lines)
+        assert parse_snapshot(text, alphabet).processed_masks == masks
 
 
 def test_build_kb_symbol_layout(burglar):
@@ -163,5 +182,5 @@ def test_build_kb_resolves_negation():
     doc = parse_kb_text("assumption a 0.3\nprop p\nclause -a | p\n")
     kb, _table = build_kb(doc)
     (clause,) = kb.sigma_k
-    by_name = {l.symbol.name: l.positive for l in clause.literals}
+    by_name = {l.symbol.name: l.positive for l in kb.alphabet.clause_of(clause).literals}
     assert by_name == {"a": False, "p": True}

@@ -44,7 +44,7 @@ def test_omega_drops_contradictory_configurations():
     kb = KnowledgeBase(
         alphabet=alphabet,
         assumptions=table,
-        sigma_k=(helpers.clause((a1, False), (p, True)), helpers.clause((p, False))),
+        sigma_k=(helpers.mask((a1, False), (p, True)), helpers.mask((p, False))),
     )
     model = build_hint(kb)
     assert model.omega == {(0,)}
@@ -70,7 +70,7 @@ def test_tautology_is_fully_supported():
     kb = KnowledgeBase(
         alphabet=alphabet,
         assumptions=table,
-        sigma_k=(helpers.clause((a1, False), (p, True)), helpers.clause((p, False))),
+        sigma_k=(helpers.mask((a1, False), (p, True)), helpers.mask((p, False))),
     )
     model = build_hint(kb)
     qs_prob, contra_prob, sp = oracle_support(
@@ -97,7 +97,7 @@ def test_total_inconsistency_raises():
     kb = KnowledgeBase(
         alphabet=alphabet,
         assumptions=table,
-        sigma_k=(helpers.clause((p, True)), helpers.clause((p, False))),
+        sigma_k=(helpers.mask((p, True)), helpers.mask((p, False))),
     )
     model = build_hint(kb)
     with pytest.raises(TotalInconsistencyError):

@@ -21,7 +21,7 @@ from pabr.errors import (
     TotalInconsistencyError,
 )
 from pabr.kbfile import build_kb, parse_kb_text
-from pabr.logic import EMPTY_TERM, mu_minimize, parse_formula
+from pabr.logic import mu_minimize, parse_formula
 from pabr.probability import (
     AUTO,
     BOUNDS,
@@ -79,7 +79,7 @@ def test_term_prob_examples():
     alphabet, (a1, a2), _ = helpers.make_alphabet(2, 0)
     table = table_over([a1, a2], [0.95, 0.01])
     assert term_prob(helpers.term((a2, False)), table) == pytest.approx(0.99, abs=1e-15)
-    assert term_prob(EMPTY_TERM, table) == 1.0
+    assert term_prob(helpers.term(), table) == 1.0
     assert term_prob(helpers.term((a1, True), (a2, False)), table) == pytest.approx(
         0.9405, abs=1e-15
     )
@@ -227,7 +227,7 @@ def test_disjoint_products_drops_covered_fragments():
 
 def test_disjoint_products_empty_term_covers_all():
     (a1,), _ = halves(1)
-    assert disjoint_products([EMPTY_TERM, helpers.term((a1, True))]) == [EMPTY_TERM]
+    assert disjoint_products([helpers.term(), helpers.term((a1, True))]) == [helpers.term()]
 
 
 def test_disjoint_products_rejects_inconsistent_terms():
@@ -302,7 +302,7 @@ def contradictory_unit_kb():
     kb = KnowledgeBase(
         alphabet=alphabet,
         assumptions=table,
-        sigma_k=(helpers.clause((a1, False), (p, True)), helpers.clause((p, False))),
+        sigma_k=(helpers.mask((a1, False), (p, True)), helpers.mask((p, False))),
     )
     return kb, table, alphabet
 
@@ -523,7 +523,7 @@ def test_evaluate_total_inconsistency():
     (a1,), table = halves(1)
     sets = SupportSets(
         mqs=frozenset(),
-        mc=frozenset([EMPTY_TERM]),
+        mc=frozenset([helpers.term()]),
     )
     with pytest.raises(TotalInconsistencyError):
         evaluate(sets, table)

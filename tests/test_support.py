@@ -7,7 +7,7 @@ import pytest
 from pabr.errors import NonAssumptionLiteralError
 from pabr.kbfile import build_kb, parse_kb_text
 from pabr import consequence
-from pabr.logic import EMPTY_CLAUSE, EMPTY_TERM, Not, clause_to_formula, parse_formula, to_cnf
+from pabr.logic import Not, clause_to_formula, parse_formula, to_cnf
 from pabr.support import (
     KnowledgeBase,
     compile_kb,
@@ -40,7 +40,7 @@ def test_negate_clauses_de_morgan():
 
 
 def test_negate_clauses_empty_clause_to_empty_term():
-    assert negate_clauses([EMPTY_CLAUSE]) == {EMPTY_TERM}
+    assert negate_clauses([helpers.clause()]) == {helpers.term()}
 
 
 def test_negate_clauses_unit():
@@ -76,8 +76,8 @@ def test_unit_contradiction():
     kb = kb_of(
         alphabet,
         simple_table([a1]),
-        helpers.clause((a1, False), (p, True)),
-        helpers.clause((p, False)),
+        helpers.mask((a1, False), (p, True)),
+        helpers.mask((p, False)),
     )
     assert minimal_contradictions(kb) == {helpers.term((a1, True))}
 
@@ -87,10 +87,10 @@ def test_assumption_free_inconsistency_is_the_empty_term():
     kb = kb_of(
         alphabet,
         simple_table([a1]),
-        helpers.clause((p, True)),
-        helpers.clause((p, False)),
+        helpers.mask((p, True)),
+        helpers.mask((p, False)),
     )
-    assert minimal_contradictions(kb) == {EMPTY_TERM}
+    assert minimal_contradictions(kb) == {helpers.term()}
 
 
 # --- interpretive route ----------------------------------------------------------
@@ -116,7 +116,7 @@ def test_flipped_alarm_fact(burglar):
         alphabet=alphabet,
         assumptions=kb.assumptions,
         sigma_k=kb.sigma_k,
-        sigma_f=(helpers.clause((alarm, False)),),
+        sigma_f=(helpers.mask((alarm, False)),),
     )
     sets = minimal_quasi_supports(flipped, parse_formula("!burglary", alphabet))
     assert sets.mqs == {helpers.term((a1, True))}
@@ -131,7 +131,7 @@ def test_tautology_hypothesis_has_the_empty_quasi_support(burglar):
     kb, _table = burglar
     h = parse_formula("burglary | !burglary", kb.alphabet)
     sets = minimal_quasi_supports(kb, h)
-    assert sets.mqs == {EMPTY_TERM}
+    assert sets.mqs == {helpers.term()}
 
 
 def test_query_does_not_disturb_the_session_state(burglar):
@@ -161,18 +161,18 @@ def test_compiled_route_empty_hypothesis_reduces_to_contradictions():
     kb = kb_of(
         alphabet,
         simple_table([a1]),
-        helpers.clause((a1, False), (p, True)),
-        helpers.clause((p, False)),
+        helpers.mask((a1, False), (p, True)),
+        helpers.mask((p, False)),
     )
     state = compile_kb(kb, with_pi=True)
-    sets = compiled_mqs(state.pi, EMPTY_CLAUSE)
+    sets = compiled_mqs(state.pi, helpers.clause())
     assert sets.mqs == sets.mc == {helpers.term((a1, True))}
 
 
 def test_compiled_route_hypothesis_already_proved():
     alphabet, _, (p,) = helpers.make_alphabet(0, 1)
     sets = compiled_mqs([helpers.clause((p, True))], helpers.clause((p, True)))
-    assert sets.mqs == {EMPTY_TERM}
+    assert sets.mqs == {helpers.term()}
 
 
 # --- properties ------------------------------------------------------------------
@@ -265,7 +265,8 @@ def test_hypothesis_folds_through_the_prime_implicates(monkeypatch):
         with_pi = compile_kb(kb, with_pi=True)
         calls.clear()
         sets = minimal_quasi_supports(kb, h, state=with_pi)
-        assert calls == sorted(negated, key=lambda c: c.sort_key)
+        views = sorted(map(kb.alphabet.clause_of, negated), key=lambda c: c.sort_key)
+        assert calls == [c.mask for c in views]
         assert sets == minimal_quasi_supports(kb, h, state=compile_kb(kb))
         expected = helpers.batch_carc(list(kb.clauses) + list(negated), kb.alphabet)
         assert sets.mqs == negate_clauses(c for c in expected if not c.is_tautology)

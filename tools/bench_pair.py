@@ -8,7 +8,10 @@ every workload W of `--workloads` (default: all of `BENCHMARK.json`'s),
 each from its own checkout (its own `perfbench/` and `src/`); the order
 alternates, parent first on the first seed and change first on the next,
 so a drift in machine speed falls on both sides alike. `--change` defaults
-to the tree this script sits in.
+to the tree this script sits in. Before every run, `src/pabr/__pycache__`
+is removed from the tree it runs in, so both trees' runs set up from the
+same bytecode state, compiling pabr from source: `setup_s` includes that
+compile, and a cache left in one tree would read as a set-up gain.
 
 Per workload and end-to-end metric of `BENCHMARK.json` (read from the
 change tree) one line is printed: the parent's and the change's median
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -41,9 +45,11 @@ SIDES = ("parent", "change")
 
 
 def run_tree(tree: str, seed: int, seconds: float, workloads: list[str]) -> dict:
-    """The results of one run of each of `workloads` in `tree`, by workload."""
+    """The results of one run of each of `workloads` in `tree`, by workload,
+    each started with no bytecode cache of pabr in `tree`."""
     results = {}
     for workload in workloads:
+        shutil.rmtree(os.path.join(tree, "src", "pabr", "__pycache__"), ignore_errors=True)
         argv = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                 "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
         done = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True)
