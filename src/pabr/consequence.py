@@ -34,7 +34,6 @@ into the old set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -43,6 +42,7 @@ from .errors import ParseError, StaleSnapshotError, UndeclaredSymbolError
 from .logic import (
     Alphabet,
     Clause,
+    Value,
     bits,
     canonical,
     even_bits,
@@ -63,16 +63,17 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-@dataclass(frozen=True)
-class ProductionField:
+class ProductionField(Value):
     """A subsumption-stable clause language over one alphabet.
 
     `outside` holds the literal bits no member may carry: the complement of
     the assumption literals' bits, or nothing for the unrestricted field.
     """
 
-    alphabet: Alphabet
-    outside: int
+    __slots__ = ("alphabet", "outside")
+
+    def __init__(self, alphabet: Alphabet, outside: int):
+        self._freeze(alphabet, outside)
 
     @classmethod
     def assumption_only(cls, alphabet: Alphabet) -> ProductionField:
@@ -133,8 +134,7 @@ def produce(
     return [m for m in kept if not m & field.outside]
 
 
-@dataclass(frozen=True)
-class CompiledState:
+class CompiledState(Value):
     """Immutable snapshot of an incremental compilation, on clause bitmasks.
 
     `carc_masks` holds the minimal implicates of the processed clauses
@@ -144,10 +144,12 @@ class CompiledState:
     on first access. Updates return fresh snapshots.
     """
 
-    field: ProductionField
-    carc_masks: frozenset[int]
-    processed_masks: tuple[int, ...] = ()
-    pi_masks: frozenset[int] | None = None
+    # __dict__ holds the views, which equality and hashing leave out
+    __slots__ = ("field", "carc_masks", "processed_masks", "pi_masks", "__dict__")
+
+    def __init__(self, field: ProductionField, carc_masks: frozenset[int],
+                 processed_masks: tuple[int, ...] = (), pi_masks: frozenset[int] | None = None):
+        self._freeze(field, carc_masks, processed_masks, pi_masks)
 
     @classmethod
     def initial(cls, field: ProductionField, with_pi: bool = False) -> CompiledState:
@@ -256,9 +258,9 @@ def extend(state: CompiledState, clause: int) -> CompiledState:
         return pi_add(state, clause)
     processed = state.processed_masks + (clause,)
     if is_tautology(clause, even_bits(len(state.field.alphabet))):
-        return replace(state, processed_masks=processed)
+        return CompiledState(state.field, state.carc_masks, processed)
     fresh = produce(state.processed_masks, clause, state.field)
-    return replace(state, carc_masks=_union(state.carc_masks, fresh), processed_masks=processed)
+    return CompiledState(state.field, _union(state.carc_masks, fresh), processed)
 
 
 def compile_clauses(

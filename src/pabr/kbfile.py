@@ -18,7 +18,6 @@ its clause mask (`logic.resolve_clause`), with no literal objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .logic import (
@@ -27,6 +26,7 @@ from .logic import (
     PROPOSITION,
     Alphabet,
     RawClause,
+    Value,
     literal_columns,
     parse_clause_body,
     resolve_clause,
@@ -35,14 +35,15 @@ from .probability import AssumptionTable
 from .support import KnowledgeBase
 
 
-@dataclass(frozen=True)
-class KbDocument:
+class KbDocument(Value):
     """Parsed but not yet symbol-resolved knowledge base text."""
 
-    assumptions: tuple[tuple[str, float], ...] = ()
-    propositions: tuple[str, ...] = ()
-    knowledge: tuple[RawClause, ...] = ()
-    facts: tuple[RawClause, ...] = ()
+    __slots__ = ("assumptions", "propositions", "knowledge", "facts")
+
+    def __init__(self, assumptions: tuple[tuple[str, float], ...] = (),
+                 propositions: tuple[str, ...] = (), knowledge: tuple[RawClause, ...] = (),
+                 facts: tuple[RawClause, ...] = ()):
+        self._freeze(assumptions, propositions, knowledge, facts)
 
 
 def _check_new_name(name: str, declared: set[str], lineno: int, column: int) -> None:

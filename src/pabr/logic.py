@@ -16,7 +16,7 @@ them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, UndeclaredSymbolError
@@ -27,17 +27,59 @@ ASSUMPTION = "assumption"
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in `__slots__` and sets them once, in
+    `__init__`, with `_freeze`; they are read-only afterwards. Values are
+    equal, and hash alike, when of one class with equal compared fields:
+    those the class keyword `compare` names (default: all slots), which are
+    the constructor's arguments in order, so copy and pickle rebuild them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare: str = ""):
+        slots = [s for s in cls.__dict__.get("__slots__", ()) if s != "__dict__"]
+        if slots:
+            cls._setters = [cls.__dict__[s].__set__ for s in slots]
+            cls._fields = compare.split() or slots
+            cls._key = attrgetter(*cls._fields)
+
+    def _freeze(self, *values):
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Symbol(Value):
     """A named propositional symbol with a stable per-alphabet index."""
 
-    name: str
-    kind: str
-    index: int
+    __slots__ = ("name", "kind", "index")
 
-    def __post_init__(self):
-        if self.kind not in (PROPOSITION, ASSUMPTION):
-            raise ValueError(f"unknown symbol kind: {self.kind!r}")
+    def __init__(self, name: str, kind: str, index: int):
+        if kind not in (PROPOSITION, ASSUMPTION):
+            raise ValueError(f"unknown symbol kind: {kind!r}")
+        self._freeze(name, kind, index)
 
     def __repr__(self):
         return f"Symbol({self.name!r}, {self.kind}, {self.index})"
@@ -109,12 +151,13 @@ class Alphabet:
         return len(self._symbols)
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """A symbol or its negation: the view of one mask bit."""
 
-    symbol: Symbol
-    positive: bool = True
+    __slots__ = ("symbol", "positive")
+
+    def __init__(self, symbol: Symbol, positive: bool = True):
+        self._freeze(symbol, positive)
 
     def negate(self) -> Literal:
         return Literal(self.symbol, not self.positive)
@@ -135,24 +178,18 @@ class Literal:
         return f"Literal({self})"
 
 
-def _sorted_literals(literals: Iterable[Literal]) -> tuple[Literal, ...]:
-    return tuple(sorted(literals, key=lambda l: l.sort_key))
-
-
-@dataclass(frozen=True)
-class _LiteralSet:
+class _LiteralSet(Value, compare="literals"):
     """Common behaviour of clause and term views: a frozenset of literals.
 
     `mask` is the OR of the literals' bits, fixed at construction; equality
-    and hashing stay on `literals`.
+    and hashing stay on the class and `literals`.
     """
 
-    literals: frozenset[Literal]
-    mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("literals", "mask", "_ordered")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_ordered", _sorted_literals(self.literals))
-        object.__setattr__(self, "mask", sum(l.bit for l in self.literals))
+    def __init__(self, literals: frozenset[Literal]):
+        ordered = tuple(sorted(literals, key=attrgetter("sort_key")))
+        self._freeze(literals, sum(l.bit for l in literals), ordered)
 
     @classmethod
     def of(cls, *literals: Literal):
@@ -160,7 +197,7 @@ class _LiteralSet:
 
     @property
     def sorted_literals(self) -> tuple[Literal, ...]:
-        return self._ordered  # type: ignore[attr-defined]
+        return self._ordered
 
     @property
     def is_empty(self) -> bool:
@@ -191,6 +228,8 @@ class _LiteralSet:
 class Clause(_LiteralSet):
     """Disjunction of literals; the empty clause denotes plain inconsistency."""
 
+    __slots__ = ()
+
     @property
     def is_tautology(self) -> bool:
         return self.has_complementary_pair
@@ -210,6 +249,8 @@ class Clause(_LiteralSet):
 
 class Term(_LiteralSet):
     """Conjunction of literals; the empty term is the trivially true assumption set."""
+
+    __slots__ = ()
 
     @property
     def is_inconsistent(self) -> bool:
@@ -336,36 +377,41 @@ def resolve_clause(raw: RawClause, alphabet: Alphabet) -> int:
 # --- formulas ---------------------------------------------------------------
 
 
-class Formula:
+class Formula(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    symbol: Symbol
+    __slots__ = ("symbol",)
+
+    def __init__(self, symbol: Symbol):
+        self._freeze(symbol)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        self._freeze(operand)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self._freeze(left, right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
 
 
 _TOKEN_CHARS = {"(": "(", ")": ")", "!": "!", "&": "&", "|": "|"}

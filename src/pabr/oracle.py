@@ -10,13 +10,12 @@ grouped interpretations. Exponential in the alphabet, so guarded by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import EnumerationLimitError, TotalInconsistencyError
-from .logic import Clause, Formula, Symbol, Term, clause_value, formula_value
+from .logic import Clause, Formula, Symbol, Term, Value, clause_value, formula_value
 from .support import KnowledgeBase
 
 SYMBOL_LIMIT = 20
@@ -24,13 +23,14 @@ SYMBOL_LIMIT = 20
 Configuration = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HintModel:
+class HintModel(Value):
     """All configurations with their priors and admitted interpretations."""
 
-    gamma: dict[Configuration, tuple[tuple[int, ...], ...]]
-    prior: dict[Configuration, float]
-    omega: frozenset[Configuration]
+    __slots__ = ("gamma", "prior", "omega")
+
+    def __init__(self, gamma: dict[Configuration, tuple[tuple[int, ...], ...]],
+                 prior: dict[Configuration, float], omega: frozenset[Configuration]):
+        self._freeze(gamma, prior, omega)
 
 
 def _projection(indices: Sequence[int]) -> Callable[[tuple[int, ...]], Configuration]:

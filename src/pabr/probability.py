@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     NonAssumptionLiteralError,
     TotalInconsistencyError,
 )
-from .logic import ASSUMPTION, Literal, Symbol, Term, bits, even_bits_of, swap
+from .logic import ASSUMPTION, Literal, Symbol, Term, Value, bits, even_bits_of, swap
 
 if TYPE_CHECKING:
     from .support import SupportSets
@@ -48,20 +47,19 @@ ENUMERATION_BUDGET = 1 << 18
 SHANNON_BUDGET = 1 << 14
 
 
-@dataclass(frozen=True)
-class AssumptionTable:
+class AssumptionTable(Value, compare="entries"):
     """Ordered assumption symbols with their independent probabilities.
 
     `bit_prob` maps each literal's mask bit to its probability: q at bit
-    2i for assumption i, 1.0 - q at bit 2i+1 for its negation.
+    2i for assumption i, 1.0 - q at bit 2i+1 for its negation; equality
+    and hashing stay on `entries`.
     """
 
-    entries: tuple[tuple[Symbol, float], ...]
-    bit_prob: dict[int, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "bit_prob")
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[Symbol, float], ...]):
         bit_prob: dict[int, float] = {}
-        for sym, q in self.entries:
+        for sym, q in entries:
             if sym.kind != ASSUMPTION:
                 raise ValueError(f"{sym.name} is not an assumption symbol")
             if not 0.0 <= q <= 1.0:
@@ -71,7 +69,7 @@ class AssumptionTable:
                 raise ValueError(f"duplicate assumption entry: {sym.name}")
             bit_prob[positive] = q
             bit_prob[positive << 1] = 1.0 - q
-        object.__setattr__(self, "bit_prob", bit_prob)
+        self._freeze(entries, bit_prob)
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -289,17 +287,15 @@ def degree_of_support(qs_prob: float, contra_prob: float) -> float:
     return (qs_prob - contra_prob) / (1.0 - contra_prob)
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(Value):
     """Everything a query answer carries."""
 
-    mqs: frozenset[Term]
-    mc: frozenset[Term]
-    qs_prob: float
-    contra_prob: float
-    support: float
-    method: str
-    bounds: tuple[float, float] | None = None
+    __slots__ = ("mqs", "mc", "qs_prob", "contra_prob", "support", "method", "bounds")
+
+    def __init__(self, mqs: frozenset[Term], mc: frozenset[Term], qs_prob: float,
+                 contra_prob: float, support: float, method: str,
+                 bounds: tuple[float, float] | None = None):
+        self._freeze(mqs, mc, qs_prob, contra_prob, support, method, bounds)
 
 
 def _union_prob(terms: Sequence[Term], table: AssumptionTable, method: str) -> float:

@@ -9,7 +9,6 @@ hypothesis enters by conjoining the clause form of its negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .consequence import CompiledState, compile_clauses, extend
@@ -21,6 +20,7 @@ from .logic import (
     Formula,
     Not,
     Term,
+    Value,
     canonical,
     even_bits,
     is_tautology,
@@ -33,8 +33,7 @@ if TYPE_CHECKING:
     from .probability import AssumptionTable
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(Value):
     """One reasoning problem: alphabet, assumption probabilities, clauses.
 
     sigma_k holds the stable knowledge, sigma_f the session facts, both as
@@ -42,20 +41,22 @@ class KnowledgeBase:
     view); their concatenation is what every query reasons over.
     """
 
-    alphabet: Alphabet
-    assumptions: "AssumptionTable"
-    sigma_k: tuple[int, ...]
-    sigma_f: tuple[int, ...] = ()
+    __slots__ = ("alphabet", "assumptions", "sigma_k", "sigma_f")
+
+    def __init__(self, alphabet: Alphabet, assumptions: AssumptionTable,
+                 sigma_k: tuple[int, ...], sigma_f: tuple[int, ...] = ()):
+        self._freeze(alphabet, assumptions, sigma_k, sigma_f)
 
     @property
     def clauses(self) -> tuple[int, ...]:
         return self.sigma_k + self.sigma_f
 
 
-@dataclass(frozen=True)
-class SupportSets:
-    mqs: frozenset[Term]
-    mc: frozenset[Term]
+class SupportSets(Value):
+    __slots__ = ("mqs", "mc")
+
+    def __init__(self, mqs: frozenset[Term], mc: frozenset[Term]):
+        self._freeze(mqs, mc)
 
 
 def negate_clauses(clauses: Iterable[Clause]) -> frozenset[Term]:

@@ -300,17 +300,15 @@ def reference_produce_masks(sides, clause, field, kept=()):
 def reference_pi_add(state, clause):
     """`consequence.pi_add` by the route it replaced: the old prime implicates
     as side clauses of an unseeded `produce`, merged into them by `_union`."""
-    from dataclasses import replace
-
-    from pabr.consequence import ProductionField, _union, produce
+    from pabr.consequence import CompiledState, ProductionField, _union, produce
 
     processed = state.processed_masks + (clause,)
     if state.field.alphabet.clause_of(clause).is_tautology:
-        return replace(state, processed_masks=processed)
+        return CompiledState(state.field, state.carc_masks, processed, state.pi_masks)
     full = ProductionField.all_clauses(state.field.alphabet)
     pi = _union(state.pi_masks, produce(tuple(state.pi_masks), clause, full))
     carc = frozenset(m for m in pi if not m & state.field.outside)
-    return replace(state, carc_masks=carc, processed_masks=processed, pi_masks=pi)
+    return CompiledState(state.field, carc, processed, pi)
 
 
 # --- reference snapshot reader and writer -------------------------------------

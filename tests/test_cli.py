@@ -6,6 +6,8 @@ import json
 import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -117,6 +119,29 @@ def test_query_burglar_golden(kb_path, capsys):
         "support": 0.99,
         "method": "shannon_expansion",
     }
+
+
+def test_query_in_a_fresh_interpreter_loads_neither_dataclasses_nor_inspect(kb_path):
+    # each command runs in its own process, so every module pabr imports is
+    # part of every answer's cost
+    script = (
+        "import sys\n"
+        "from pabr.cli import main\n"
+        f"code = main(['query', {kb_path(helpers.BURGLAR_TEXT)!r}, '-q', 'burglary'])\n"
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = str(README.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    *answer, modules = done.stdout.splitlines()
+    assert json.loads("\n".join(answer))["support"] == 0.99
+    assert modules == "0 []"
 
 
 def _readme_kb_text():
@@ -359,7 +384,7 @@ def test_query_deep_formula_answers_like_its_shallow_equivalent(
 ):
     # parse, clause form and evaluation run on explicit stacks, so nesting
     # far past the recursion limit answers; deep Formula trees are never
-    # compared with ==, whose dataclass implementation recurses
+    # compared with ==, which recurses
     path = kb_path(helpers.BURGLAR_TEXT)
     start = time.perf_counter()
     code, out, err = run(capsys, "query", path, "-q", deep, "--method", method)
