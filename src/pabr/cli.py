@@ -15,7 +15,9 @@ not match, snapshot contents no query can read) or a file that cannot be
 read, decoded or written.
 Query formulas may nest to any depth.
 Query output is a single JSON object, byte-identical across runs for
-identical inputs; probabilities carry 12 significant digits.
+identical inputs; probabilities carry 12 significant digits. Terms print
+from their masks through the alphabet's `text_of_bit`, literals and terms
+in canonical order (`logic.canonical`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     PabrError,
     TotalInconsistencyError,
 )
-from .logic import Term, parse_formula
+from .logic import bits, canonical, parse_formula
 
 _METHODS = {
     "auto": probability.AUTO,
@@ -55,12 +57,9 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _term_json(term: Term) -> list[str]:
-    return [str(lit) for lit in term.sorted_literals]
-
-
-def _terms_json(terms) -> list[list[str]]:
-    return [_term_json(t) for t in sorted(terms, key=lambda t: t.sort_key)]
+def _terms_json(terms, text_of_bit: dict[int, str]) -> list[list[str]]:
+    """Term texts by literal, both in canonical order, read off the terms' masks."""
+    return [[text_of_bit[b] for b in bits(m)] for m in canonical(t.mask for t in terms)]
 
 
 def _load_state(args, kb) -> consequence.CompiledState:
@@ -116,8 +115,8 @@ def cmd_query(args) -> int:
         report = probability.evaluate(sets, table, method=method, l=args.l)
     payload = {
         "hypothesis": args.query,
-        "mqs": _terms_json(report.mqs),
-        "mc": _terms_json(report.mc),
+        "mqs": _terms_json(report.mqs, kb.alphabet.text_of_bit),
+        "mc": _terms_json(report.mc, kb.alphabet.text_of_bit),
         "qs_prob": _round12(report.qs_prob),
         "contradiction_prob": _round12(report.contra_prob),
         "support": _round12(report.support),
@@ -137,8 +136,8 @@ def cmd_check(args) -> int:
         return 3
     if mc:
         print(f"inconsistent under {len(mc)} minimal assumption set(s):")
-        for term in sorted(mc, key=lambda t: t.sort_key):
-            print(f"  {term}")
+        for texts in _terms_json(mc, kb.alphabet.text_of_bit):
+            print("  " + " & ".join(texts))
         return 1
     print("consistent")
     return 0

@@ -10,14 +10,14 @@ resolution are integer operations. Ascending bits follow declaration
 order, positive before negative, which keeps all downstream output
 deterministic. `Literal`, `Clause` and `Term` are read-only views of masks
 for callers that want objects; `Alphabet.clause_of` and `term_of` build
-them.
+them, and `term_views` builds term views without the alphabet.
 """
 
 from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, UndeclaredSymbolError
 
@@ -218,12 +218,6 @@ class _LiteralSet(Value, compare="literals"):
     def __len__(self):
         return len(self.literals)
 
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.sorted_literals)
-
-    def __contains__(self, literal: Literal):
-        return literal in self.literals
-
 
 class Clause(_LiteralSet):
     """Disjunction of literals; the empty clause denotes plain inconsistency."""
@@ -233,10 +227,6 @@ class Clause(_LiteralSet):
     @property
     def is_tautology(self) -> bool:
         return self.has_complementary_pair
-
-    def minus(self, other: Clause) -> Clause:
-        """Drop every literal shared with `other`."""
-        return Clause(self.literals - other.literals)
 
     def __str__(self):
         if self.is_empty:
@@ -263,6 +253,16 @@ class Term(_LiteralSet):
 
     def __repr__(self):
         return f"Term({self})"
+
+
+def term_views(views: Iterable[_LiteralSet]) -> Callable[[int], Term]:
+    """`term_of` without the alphabet, for masks over the literals of `views` and their negations."""
+    literal_of = {}
+    for view in views:
+        for lit in view.literals:
+            neg = lit.negate()
+            literal_of[lit.bit], literal_of[neg.bit] = lit, neg
+    return lambda mask: Term(frozenset(map(literal_of.__getitem__, bits(mask))))
 
 
 def mu_minimize(items: Iterable) -> frozenset:

@@ -6,6 +6,12 @@ terms is computed exactly by memoized Shannon expansion (an ordered BDD of
 the union, Bryant 1986), inclusion-exclusion or a sum of disjoint products,
 and bracketed cheaply by truncated alternating sums. The degree of support
 conditions the quasi-support probability on consistency.
+
+The public functions take `Term`s and check them once, on the way in
+(`_check`); every method then computes on their masks, in `logic.canonical`
+order (fewest literals first for disjoint products), multiplying literal
+probabilities in ascending bit order. Only `disjoint_products` turns
+fragment masks back into `Term`s.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from .errors import (
     NonAssumptionLiteralError,
     TotalInconsistencyError,
 )
-from .logic import ASSUMPTION, Literal, Symbol, Term, Value, bits, even_bits_of, swap
+from .logic import (ASSUMPTION, Symbol, Term, Value, bits, canonical, even_bits_of,
+                    is_tautology, swap, term_views)
 
 if TYPE_CHECKING:
     from .support import SupportSets
@@ -85,12 +92,32 @@ class AssumptionTable(Value, compare="entries"):
         return len(self.entries)
 
 
-def _check_assumption_term(term: Term) -> None:
+def _check(term: Term, consistent: bool = False) -> int:
+    """`term`'s mask, once it holds only assumption literals (and no complementary pair)."""
+    if consistent and term.is_inconsistent:
+        raise InconsistentTermError(f"inconsistent input term: {term}")
     for lit in term.literals:
         if lit.symbol.kind != ASSUMPTION:
-            raise NonAssumptionLiteralError(
-                f"term literal over proposition {lit.symbol.name}"
-            )
+            raise NonAssumptionLiteralError(f"term literal over proposition {lit.symbol.name}")
+    return term.mask
+
+
+def _masks(terms: Iterable[Term], order=canonical, consistent: bool = False) -> list[int]:
+    """The distinct masks of `terms` in `order`, each term `_check`ed in that order."""
+    by_mask = {t.mask: t for t in terms}
+    masks = order(by_mask)
+    for m in masks:
+        _check(by_mask[m], consistent)
+    return masks
+
+
+def _shortest_first(masks: Iterable[int]) -> list[int]:
+    """The order disjoint products take: an n-link chain needs n + 1 fragments."""
+    return sorted(canonical(masks), key=int.bit_count)
+
+
+def _prob(mask: int, probs: dict[int, float]) -> float:
+    return math.prod((probs[b] for b in bits(mask)), start=1.0)
 
 
 def term_prob(term: Term, table: AssumptionTable) -> float:
@@ -98,35 +125,22 @@ def term_prob(term: Term, table: AssumptionTable) -> float:
 
     The empty term has probability 1, an inconsistent term probability 0.
     """
-    _check_assumption_term(term)
-    if term.is_inconsistent:
-        return 0.0
-    return math.prod((table.bit_prob[b] for b in bits(term.mask)), start=1.0)
+    mask = _check(term)
+    return 0.0 if term.is_inconsistent else _prob(mask, table.bit_prob)
 
 
-def _canonical(terms: Iterable[Term]) -> list[Term]:
-    return sorted(set(terms), key=lambda t: t.sort_key)
-
-
-def _shortest_first(terms: Iterable[Term]) -> list[Term]:
-    """The order disjoint products take: an n-link chain needs n + 1 fragments."""
-    return sorted(set(terms), key=lambda t: (len(t), t.sort_key))
-
-
-def _subset_sums(terms: Sequence[Term], table: AssumptionTable, kmax: int) -> list[float]:
+def _subset_sums(masks: Sequence[int], table: AssumptionTable, kmax: int) -> list[float]:
     """Per-cardinality sums of conjunction probabilities over term subsets.
 
-    Entry k-1 sums term_prob over all consistent conjunctions of k distinct
+    Entry k-1 sums the products of all consistent conjunctions of k distinct
     input terms; inconsistent conjunctions contribute 0 and their supersets
     are pruned outright since a complementary pair never goes away. The
     depth-first walk runs on an explicit stack, so no depth hits the recursion limit.
     """
-    for t in terms:
-        _check_assumption_term(t)
-    even = even_bits_of(0, *(t.mask for t in terms))
-    lit_lists = [[(b, swap(b, even), table.bit_prob[b]) for b in bits(t.mask)] for t in terms]
+    even = even_bits_of(0, *masks)
+    lit_lists = [[(b, swap(b, even), table.bit_prob[b]) for b in bits(m)] for m in masks]
     buckets: list[list[float]] = [[] for _ in range(kmax)]
-    r = len(terms)
+    r = len(masks)
     visited = 0
     stack = [[0, 0, 1.0]]  # per open subset: next term to add, literal mask, product
     while stack:
@@ -156,8 +170,8 @@ def _subset_sums(terms: Sequence[Term], table: AssumptionTable, kmax: int) -> li
 
 def inclusion_exclusion(terms: Iterable[Term], table: AssumptionTable) -> float:
     """Exact union probability via the alternating subset sums."""
-    ordered = _canonical(terms)
-    sums = _subset_sums(ordered, table, len(ordered))
+    masks = _masks(terms)
+    sums = _subset_sums(masks, table, len(masks))
     return math.fsum(s if k % 2 == 1 else -s for k, s in enumerate(sums, start=1))
 
 
@@ -170,8 +184,8 @@ def bonferroni_bounds(
     the exact methods apply and this raises instructing their use. The
     upper bound is also capped by the first subset sum and by 1.
     """
-    ordered = _canonical(terms)
-    r = len(ordered)
+    by_mask = {t.mask: t for t in terms}
+    r = len(by_mask)
     if l < 1:
         raise BoundsPreconditionError(f"truncation order must be at least 1, got {l}")
     if 2 * l + 1 > r:
@@ -179,31 +193,22 @@ def bonferroni_bounds(
             f"truncation order {l} needs at least {2 * l + 1} terms, got {r}; "
             "use an exact method instead"
         )
-    sums = _subset_sums(ordered, table, 2 * l + 1)
+    sums = _subset_sums(_masks(by_mask.values()), table, 2 * l + 1)
     lower = math.fsum(s if k % 2 == 1 else -s for k, s in enumerate(sums[: 2 * l], start=1))
     upper = min(lower + sums[2 * l], sums[0], 1.0)
     return (lower, upper)
 
 
-def disjoint_products(terms: Sequence[Term]) -> list[Term]:
-    """Rewrite a term list into pairwise disjoint fragments with the same union.
+def _fragments(masks: Sequence[int]) -> list[int]:
+    """Pairwise disjoint fragment masks with the union of the consistent term `masks`.
 
     Each term is split against every earlier one: fragments already carrying
     a complementary literal stay, fragments covered by the earlier term are
     dropped, and the rest are expanded along the earlier term's missing
     literals so exactly one branch negates each. Fragment probabilities can
-    then simply be added. Fragments are literal bitmasks until the end;
-    past ENUMERATION_BUDGET of them this raises EnumerationLimitError.
+    then simply be added. Past ENUMERATION_BUDGET fragments made this raises
+    EnumerationLimitError.
     """
-    literal_of: dict[int, Literal] = {}
-    for t in terms:
-        if t.is_inconsistent:
-            raise InconsistentTermError(f"inconsistent input term: {t}")
-        _check_assumption_term(t)
-        for lit in t.literals:
-            literal_of[lit.bit] = lit
-            literal_of[lit.negate().bit] = lit.negate()
-    masks = [t.mask for t in terms]
     even = even_bits_of(0, *masks)
     made = 0
     out: list[int] = []
@@ -224,15 +229,25 @@ def disjoint_products(terms: Sequence[Term]) -> list[Term]:
             made += len(nxt)
             if made > ENUMERATION_BUDGET:
                 raise EnumerationLimitError(
-                    f"disjoint products of {len(terms)} terms make more than "
+                    f"disjoint products of {len(masks)} terms make more than "
                     f"{ENUMERATION_BUDGET} fragments"
                 )
             frags = nxt
         out += frags
-    return [Term(frozenset(literal_of[b] for b in bits(m))) for m in out]
+    return out
 
 
-def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
+def disjoint_products(terms: Sequence[Term]) -> list[Term]:
+    """Rewrite a term list into pairwise disjoint fragments with the same union.
+
+    The fragments of `_fragments`, in its order, as terms; an inconsistent
+    input term raises InconsistentTermError.
+    """
+    masks = [_check(t, consistent=True) for t in terms]
+    return list(map(term_views(terms), _fragments(masks)))
+
+
+def _shannon_expansion(masks: Sequence[int], table: AssumptionTable) -> float:
     """Exact union probability by Shannon expansion, memoized on residual term sets.
 
     Each node splits on the symbol occurring in the most terms, lowest index
@@ -244,10 +259,8 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
     this raises EnumerationLimitError.
     """
     probs = table.bit_prob
-    for t in terms:
-        _check_assumption_term(t)
-    root = frozenset(t.mask for t in terms if not t.is_inconsistent)
-    even = even_bits_of(0, *root)
+    even = even_bits_of(0, *masks)
+    root = frozenset(m for m in masks if not is_tautology(m, even))
     memo: dict[frozenset[int], float] = {}
     stack: list[tuple[frozenset[int], tuple | None]] = [(root, None)]
     splits = 0
@@ -260,7 +273,7 @@ def _shannon_expansion(terms: Sequence[Term], table: AssumptionTable) -> float:
             continue
         elif len(node) <= 1 or 0 in node:
             # impossible, certain (an empty term) or one term's product
-            memo[node] = math.prod(probs[b] for b in bits(min(node))) if node else 0.0
+            memo[node] = _prob(min(node), probs) if node else 0.0
         else:
             splits += 1
             if splits > SHANNON_BUDGET:
@@ -298,13 +311,14 @@ class SupportReport(Value):
         self._freeze(mqs, mc, qs_prob, contra_prob, support, method, bounds)
 
 
-def _union_prob(terms: Sequence[Term], table: AssumptionTable, method: str) -> float:
-    if method == SHANNON_EXPANSION:
-        return _shannon_expansion(terms, table)
+def _union_prob(terms: Iterable[Term], table: AssumptionTable, method: str) -> float:
     if method == INCLUSION_EXCLUSION:
         return inclusion_exclusion(terms, table)
+    if method == SHANNON_EXPANSION:
+        return _shannon_expansion(_masks(terms), table)
     if method == DISJOINT_PRODUCTS:
-        return math.fsum(term_prob(t, table) for t in disjoint_products(_shortest_first(terms)))
+        fragments = _fragments(_masks(terms, _shortest_first, consistent=True))
+        return math.fsum(_prob(m, table.bit_prob) for m in fragments)
     raise ValueError(f"unknown exact method: {method!r}")
 
 
@@ -322,15 +336,14 @@ def evaluate(
     carries the truncation bracket on the quasi-support probability; the
     point values always come from an exact method.
     """
-    qs_terms = _canonical(set(sets.mqs) | set(sets.mc))
-    mc_terms = _canonical(sets.mc)
+    qs_terms = set(sets.mqs) | set(sets.mc)
     chosen = SHANNON_EXPANSION if method == AUTO else method
     exact = SHANNON_EXPANSION if chosen == BOUNDS else chosen
     bounds = None
     if chosen == BOUNDS:
         bounds = bonferroni_bounds(qs_terms, table, 1 if l is None else l)
     qs_prob = _union_prob(qs_terms, table, exact)
-    contra_prob = _union_prob(mc_terms, table, exact)
+    contra_prob = _union_prob(sets.mc, table, exact)
     # The union over mqs+mc covers the union over mc; guard the identity
     # against last-bit float drift between the two sums.
     if qs_prob < contra_prob:

@@ -5,6 +5,9 @@ clause set, it entails the hypothesis; contradictions are the terms that
 entail the inconsistency. Both sets fall out of the assumption-only
 minimal implicates: negate each clause literal-wise to get a term. The
 hypothesis enters by conjoining the clause form of its negation.
+
+Both routes compute on clause masks; the negation is `swap`, and `Term`
+views are built once, as the `SupportSets` returned to the caller.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from .logic import (
     Value,
     canonical,
     even_bits,
+    even_bits_of,
     is_tautology,
-    mu_minimize,
+    minimal_masks,
     swap,
+    term_views,
     to_cnf,
 )
 
@@ -59,46 +64,25 @@ class SupportSets(Value):
         self._freeze(mqs, mc)
 
 
-def negate_clauses(clauses: Iterable[Clause]) -> frozenset[Term]:
-    """Literal-wise negation, mapping assumption clauses to assumption terms.
-
-    The empty clause maps to the empty term. Clauses touching proposition
-    symbols have no term reading and are rejected.
-    """
-    terms = []
-    for c in clauses:
-        for lit in c.literals:
-            if lit.symbol.kind != ASSUMPTION:
-                raise NonAssumptionLiteralError(
-                    f"literal over proposition {lit.symbol.name} has no assumption-term reading"
-                )
-        terms.append(Term(frozenset(l.negate() for l in c.literals)))
-    return frozenset(terms)
-
-
-def _support_terms(carc: Iterable[Clause]) -> frozenset[Term]:
-    """Tilde of the carc set with the tautology seeds stripped."""
-    return negate_clauses(c for c in carc if not c.is_tautology)
+def _negations(clauses: Iterable[int], even: int, term_of) -> frozenset[Term]:
+    """The literal-wise negations of the non-tautological `clauses`, as terms."""
+    return frozenset(term_of(swap(m, even)) for m in clauses if not is_tautology(m, even))
 
 
 def _state_terms(state: CompiledState) -> frozenset[Term]:
-    """`_support_terms` of a state's carc, read off its masks: the
-    tautology seeds stripped, the rest swapped into assumption terms."""
+    """The support terms of a state's carc: the tautology seeds stripped,
+    the rest swapped literal-wise into assumption terms."""
     alphabet = state.field.alphabet
     even = even_bits(len(alphabet))
-    terms = []
     for m in state.carc_masks:
-        if is_tautology(m, even):
-            continue
         stray = m & state.field.outside
-        if stray:
+        if stray and not is_tautology(m, even):
             # a proposition literal, from a hand-made snapshot
             (lit,) = alphabet.literals_of(stray & -stray)
             raise NonAssumptionLiteralError(
                 f"literal over proposition {lit.symbol.name} has no assumption-term reading"
             )
-        terms.append(alphabet.term_of(swap(m, even)))
-    return frozenset(terms)
+    return _negations(state.carc_masks, even, alphabet.term_of)
 
 
 def compile_kb(kb: KnowledgeBase, with_pi: bool = False) -> CompiledState:
@@ -146,16 +130,14 @@ def compiled_mqs(pi: Iterable[Clause], hypothesis: Clause) -> SupportSets:
     outside h contributes its h-free remainder; minimizing and negating
     those remainders gives the quasi-supports. The assumption-only prime
     implicates themselves give the contradictions. With h empty the two
-    coincide.
+    coincide. Everything is computed on the clauses' masks; the terms are
+    built from their literals' negations at the end.
     """
-    residues = []
-    contradiction_clauses = []
-    for f in pi:
-        residue = f.minus(hypothesis)
-        if residue.is_assumption_only:
-            residues.append(residue)
-        if f.is_assumption_only:
-            contradiction_clauses.append(f)
-    mqs = _support_terms(mu_minimize(residues))
-    mc = _support_terms(contradiction_clauses)
-    return SupportSets(mqs=mqs, mc=mc)
+    pi = list(pi)
+    masks = [f.mask for f in pi]
+    even = even_bits_of(0, *masks)
+    props = sum({l.bit for f in pi for l in f.literals if l.symbol.kind != ASSUMPTION})
+    term_of = term_views(pi)
+    residues = (m & ~hypothesis.mask for m in masks)
+    mqs = _negations(minimal_masks(r for r in residues if not r & props), even, term_of)
+    return SupportSets(mqs=mqs, mc=_negations((m for m in masks if not m & props), even, term_of))

@@ -235,6 +235,17 @@ def term_units(t):
     return [Clause.of(lit) for lit in t.sorted_literals]
 
 
+def shortest_first(terms):
+    """Distinct terms, fewest literals first, ties in canonical order: the
+    order `evaluate` hands disjoint products."""
+    return sorted(set(terms), key=lambda t: (len(t), t.sort_key))
+
+
+def negated_terms(clauses):
+    """The literal-wise negations of `clauses`, as terms."""
+    return frozenset(Term(frozenset(l.negate() for l in c.literals)) for c in clauses)
+
+
 # --- reference consequence finding ---------------------------------------------
 
 

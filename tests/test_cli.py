@@ -448,6 +448,35 @@ def test_query_auto_stops_at_the_shannon_budget(kb_path, capsys):
     assert err.startswith("error: Shannon expansion of 100 terms splits more than")
 
 
+def test_query_sdp_on_eleven_independent_causes_stays_small(kb_path):
+    # the splitter makes (3^11 - 1) / 2 fragments; summed as masks, not as
+    # one term view each, they stay well under the budget and 64 MB
+    lines = [f"assumption x_{i} 0.5" for i in range(33)] + ["prop h"]
+    lines += [f"clause -x_{3 * i} | -x_{3 * i + 1} | -x_{3 * i + 2} | h" for i in range(11)]
+    path = kb_path("\n".join(lines) + "\n")
+    # a small parent process reports the child's peak: a child forked from
+    # this test process would count this process's memory as its own
+    measure = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run(sys.argv[1:]).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = [sys.executable, "-m", "pabr", "query", path, "-q", "h", "--method", "sdp"]
+    done = subprocess.run(
+        [sys.executable, "-c", measure, *argv],
+        env={**os.environ, "PYTHONPATH": str(README.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    answer, last = done.stdout.splitlines()
+    code, peak_kb = map(int, last.split())
+    assert code == 0
+    assert json.loads(answer)["support"] == 0.769808870857
+    assert peak_kb < 64 * 1024
+
+
 def _unit_causes(n):
     lines = [f"assumption x{i} 0.5" for i in range(n)]
     lines.append("prop h")
@@ -610,6 +639,48 @@ def test_check_plain_inconsistency(kb_path, capsys):
     code, out, _ = run(capsys, "check", path)
     assert code == 3
     assert "without any assumptions" in out
+
+
+CONTRADICTING = """\
+assumption a1 0.5
+assumption a2 0.3
+assumption a3 0.8
+assumption a4 0.6
+prop p q
+clause -a1 | p
+clause -a2 | p
+clause -a3 | q
+clause -a2 | -a4 | q
+clause -p | -q | -a4
+"""
+
+
+def test_query_and_check_render_from_masks(kb_path, capsys, monkeypatch):
+    # past the fold the commands compute and print from literal bitmasks:
+    # with literal and term rendering and sorting disabled, every answer,
+    # contradiction listing and error line is still the same bytes
+    from pabr.logic import Literal, _LiteralSet
+
+    runs = []
+    for name, text, hypotheses in (
+        ("burglar.pabr", helpers.BURGLAR_TEXT, ["burglary", "alarm | !burglary", "a1 & !a2"]),
+        ("contra.pabr", CONTRADICTING, ["p", "p | q", "q & p", "!p"]),
+    ):
+        path = kb_path(text, name)
+        runs.append(["check", path])
+        for h in hypotheses:
+            for method in ("auto", "incexc", "sdp", "bounds"):
+                runs.append(["query", path, "-q", h, "--method", method])
+    unpatched = [run(capsys, *argv) for argv in runs]
+
+    def refuse(*_args):
+        raise AssertionError("a literal view was rendered or sorted")
+
+    monkeypatch.setattr(Literal, "__str__", refuse)
+    monkeypatch.setattr(_LiteralSet, "sorted_literals", property(refuse))
+    monkeypatch.setattr(_LiteralSet, "sort_key", property(refuse))
+    assert [run(capsys, *argv) for argv in runs] == unpatched
+    assert {code for code, _, _ in unpatched} == {0, 1, 4}
 
 
 def test_check_parse_error(kb_path, capsys):

@@ -1,0 +1,141 @@
+"""Belief-function laws of the degree of support, checked without an oracle.
+
+The degree of support is a normalized belief function over the assumption
+configurations (Shafer 1976; Kohlas & Monney 1995), so it obeys laws that
+need no ground truth. These tests check them on seeded random knowledge
+bases of 8 to 24 symbols, sizes the enumeration oracle does not reach:
+
+- dsp(h) + dsp(!h) <= 1;
+- dsp(a | !a) = 1 wherever some configuration is consistent;
+- qs_prob(l) >= P(l) for an assumption literal l, since every
+  configuration where l holds quasi-supports l;
+- 2-monotonicity: dsp(h | g) + dsp(h & g) >= dsp(h) + dsp(g);
+- `auto`, `incexc` and `sdp` agree wherever all three answer (a budget
+  stop, EnumerationLimitError, is allowed; a broken law is not).
+
+Each law holds exactly in real arithmetic; TOLERANCE absorbs float drift.
+"""
+
+import random
+
+import pytest
+
+from pabr.errors import EnumerationLimitError, TotalInconsistencyError
+from pabr.kbfile import build_kb, parse_kb_text
+from pabr.logic import parse_formula
+from pabr.probability import (
+    DISJOINT_PRODUCTS,
+    INCLUSION_EXCLUSION,
+    SHANNON_EXPANSION,
+    evaluate,
+)
+from pabr.support import compile_kb, minimal_quasi_supports
+
+TOLERANCE = 1e-12
+SEEDS = range(60)
+METHODS = (SHANNON_EXPANSION, INCLUSION_EXCLUSION, DISJOINT_PRODUCTS)
+
+
+def random_kb(rng):
+    """KB text over 8-24 symbols in the argumentation shape: rules
+    `-a.. | -p | q` whose head q is mostly positive; and the symbol names."""
+    total = rng.randint(8, 24)
+    n_assum = rng.randint(total // 3, 2 * total // 3)
+    assums = [f"a{i}" for i in range(n_assum)]
+    props = [f"p{i}" for i in range(total - n_assum)]
+    lines = [f"assumption {a} {rng.choice([0.1, 0.25, 0.5, 0.7, 0.9])}" for a in assums]
+    lines.append("prop " + " ".join(props))
+    for _ in range(rng.randint(len(props), total)):
+        body, head = rng.sample(props, 2)
+        literals = ["-" + a for a in rng.sample(assums, rng.randint(1, 2))]
+        literals += ["-" + body] if rng.random() < 0.5 else []
+        literals.append(head if rng.random() < 0.75 else "-" + head)
+        lines.append("clause " + " | ".join(literals))
+    return "\n".join(lines) + "\n", assums, props
+
+
+class Dsp:
+    """Memoized support sets and degrees of support on one KB."""
+
+    def __init__(self, text):
+        self.kb, self.table = build_kb(parse_kb_text(text))
+        self.state = compile_kb(self.kb)
+        self.sets, self.memo = {}, {}
+
+    def report(self, formula, method=SHANNON_EXPANSION):
+        if formula not in self.sets:
+            h = parse_formula(formula, self.kb.alphabet)
+            self.sets[formula] = minimal_quasi_supports(self.kb, h, state=self.state)
+        if (formula, method) not in self.memo:
+            self.memo[formula, method] = evaluate(self.sets[formula], self.table, method=method)
+        return self.memo[formula, method]
+
+    def __call__(self, formula, method=SHANNON_EXPANSION):
+        return self.report(formula, method).support
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """Per seed with some consistent configuration: the seed, its `Dsp`,
+    and hypothesis pairs (h, g), h a literal or a disjunction of two."""
+    out = []
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        text, assums, props = random_kb(rng)
+        dsp = Dsp(text)
+        try:
+            dsp(f"{assums[0]} | !{assums[0]}")
+        except TotalInconsistencyError:
+            continue
+
+        def literal():
+            return rng.choice(["", "!"]) + rng.choice(props if rng.random() < 0.8 else assums)
+
+        pairs = []
+        for _ in range(4):
+            h = literal() if rng.random() < 0.5 else f"{literal()} | {literal()}"
+            pairs.append((f"({h})", f"({literal()})"))
+        out.append((seed, dsp, assums, pairs))
+    assert len(out) > len(SEEDS) // 2
+    return out
+
+
+def test_support_of_a_hypothesis_and_of_its_negation_sum_to_at_most_one(cases):
+    for seed, dsp, _, pairs in cases:
+        for h, g in pairs:
+            for f in (h, g):
+                assert dsp(f) + dsp(f"!{f}") <= 1 + TOLERANCE, (seed, f)
+
+
+def test_a_tautology_has_support_one(cases):
+    for seed, dsp, assums, _ in cases:
+        for a in assums:
+            assert dsp(f"{a} | !{a}") == pytest.approx(1, abs=TOLERANCE), (seed, a)
+
+
+def test_an_assumption_literal_quasi_supports_itself(cases):
+    # the configurations where a literal l holds all quasi-support l, so
+    # qs_prob(l) >= P(l): the law that ties the answers to the priors
+    for seed, dsp, assums, _ in cases:
+        for a in assums:
+            q = dsp.table.prob(dsp.kb.alphabet.lookup(a))
+            assert dsp.report(a).qs_prob >= q - TOLERANCE, (seed, a)
+            assert dsp.report(f"!{a}").qs_prob >= 1 - q - TOLERANCE, (seed, a)
+
+
+def test_support_is_2_monotone(cases):
+    for seed, dsp, _, pairs in cases:
+        for h, g in pairs:
+            join, meet = dsp(f"{h} | {g}"), dsp(f"{h} & {g}")
+            assert join + meet >= dsp(h) + dsp(g) - TOLERANCE, (seed, h, g)
+
+
+def test_exact_methods_agree_wherever_all_answer(cases):
+    for seed, dsp, _, pairs in cases:
+        for h, g in pairs:
+            for f in (h, f"{h} | {g}", f"{h} & {g}"):
+                try:
+                    values = [dsp(f, method) for method in METHODS]
+                except EnumerationLimitError:
+                    continue
+                assert max(values) - min(values) <= TOLERANCE, (seed, f, values)

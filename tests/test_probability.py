@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabr import probability
 from pabr.errors import (
     BoundsPreconditionError,
     EnumerationLimitError,
@@ -21,7 +20,7 @@ from pabr.errors import (
     TotalInconsistencyError,
 )
 from pabr.kbfile import build_kb, parse_kb_text
-from pabr.logic import mu_minimize, parse_formula
+from pabr.logic import Term, mu_minimize, parse_formula
 from pabr.probability import (
     AUTO,
     BOUNDS,
@@ -410,11 +409,32 @@ def test_evaluate_auto_chain_matches_closed_form():
 def test_disjoint_products_chain_shortest_first_is_linear():
     n = 12
     _, table, sets = chain_supports(n)
-    terms = probability._shortest_first(sets.mqs)
+    terms = helpers.shortest_first(sets.mqs)
     out = disjoint_products(terms)
     assert len(out) == n + 1
     total = math.fsum(term_prob(t, table) for t in out)
     assert total == pytest.approx(inclusion_exclusion(terms, table), abs=1e-12)
+
+
+def test_evaluate_sdp_sums_fragments_without_term_views(monkeypatch):
+    # 8 independent three-assumption causes split into (3^8 - 1) / 2
+    # fragments; `evaluate` sums their products from the masks, and only
+    # the public `disjoint_products` builds a term per fragment
+    assumptions, table = halves(24)
+    terms = [helpers.term(*((a, True) for a in assumptions[i : i + 3])) for i in range(0, 24, 3)]
+    sets = SupportSets(mqs=frozenset(terms), mc=frozenset())
+    built = []
+    init = Term.__init__
+
+    def counting(self, literals):
+        built.append(literals)
+        init(self, literals)
+
+    monkeypatch.setattr(Term, "__init__", counting)
+    report = evaluate(sets, table, method=DISJOINT_PRODUCTS)
+    assert built == []
+    assert report.qs_prob == pytest.approx(1 - (7 / 8) ** 8, abs=1e-12)
+    assert len(disjoint_products(terms)) == len(built) == (3**8 - 1) // 2
 
 
 _, PROPERTY_ASSUMPTIONS, _ = helpers.make_alphabet(5, 0)
@@ -435,7 +455,7 @@ def test_disjoint_products_match_inclusion_exclusion_on_random_unions(terms):
     assert report.qs_prob == pytest.approx(expected, abs=1e-12)
     auto = evaluate(sets, PROPERTY_TABLE)
     assert auto.qs_prob == pytest.approx(expected, abs=1e-12)
-    fragments = disjoint_products(probability._shortest_first(terms))
+    fragments = disjoint_products(helpers.shortest_first(terms))
     for i, t1 in enumerate(fragments):
         for t2 in fragments[i + 1 :]:
             assert any(l.negate() in t2.literals for l in t1.literals)

@@ -14,7 +14,6 @@ from pabr.support import (
     compiled_mqs,
     minimal_contradictions,
     minimal_quasi_supports,
-    negate_clauses,
 )
 
 import helpers
@@ -30,28 +29,9 @@ def simple_table(assumptions):
     return AssumptionTable(tuple((s, 0.5) for s in assumptions))
 
 
-# --- literal-wise negation -------------------------------------------------------
-
-
-def test_negate_clauses_de_morgan():
-    _, (a1, a2), _ = helpers.make_alphabet(2, 0)
-    out = negate_clauses([helpers.clause((a1, False), (a2, False))])
-    assert out == {helpers.term((a1, True), (a2, True))}
-
-
-def test_negate_clauses_empty_clause_to_empty_term():
-    assert negate_clauses([helpers.clause()]) == {helpers.term()}
-
-
-def test_negate_clauses_unit():
-    _, (a1, a2), _ = helpers.make_alphabet(2, 0)
-    assert negate_clauses([helpers.clause((a2, True))]) == {helpers.term((a2, False))}
-
-
-def test_negate_clauses_rejects_propositions():
-    _, (a1,), (p,) = helpers.make_alphabet(1, 1)
-    with pytest.raises(NonAssumptionLiteralError):
-        negate_clauses([helpers.clause((a1, False), (p, True))])
+# --- literal-wise negation: `test_flipped_alarm_fact` (two literals),
+# `test_unit_contradiction` (one), `test_assumption_free_inconsistency_is_the_empty_term`
+# (none) and the next test (a proposition literal) pin it on the engine.
 
 
 def test_state_with_a_proposition_literal_is_rejected():
@@ -269,7 +249,7 @@ def test_hypothesis_folds_through_the_prime_implicates(monkeypatch):
         assert calls == [c.mask for c in views]
         assert sets == minimal_quasi_supports(kb, h, state=compile_kb(kb))
         expected = helpers.batch_carc(list(kb.clauses) + list(negated), kb.alphabet)
-        assert sets.mqs == negate_clauses(c for c in expected if not c.is_tautology)
+        assert sets.mqs == helpers.negated_terms(c for c in expected if not c.is_tautology)
 
 
 def test_contradictions_quasi_support_anything():
