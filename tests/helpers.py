@@ -6,6 +6,7 @@ stays independent of the engine algorithms under test; only the plain data
 types are reused to build inputs and compare outputs.
 """
 
+import importlib
 import math
 import random
 from itertools import product
@@ -244,6 +245,22 @@ def shortest_first(terms):
 def negated_terms(clauses):
     """The literal-wise negations of `clauses`, as terms."""
     return frozenset(Term(frozenset(l.negate() for l in c.literals)) for c in clauses)
+
+
+def count_calls(monkeypatch, target):
+    """Record the arguments of every call to the function at the dotted
+    path `target` (`"pabr.consequence.resolvent_mask"`, say) and pass the
+    call on; returns the record list."""
+    module, _, name = target.rpartition(".")
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(target, counting)
+    return calls
 
 
 # --- reference consequence finding ---------------------------------------------

@@ -157,23 +157,72 @@ def _messy_clauses(rng, symbols, count):
     return out
 
 
+def _one_polarity_shapes(rng):
+    """Clause mask lists in which some proposition occurs in one sign only,
+    with their alphabets: a fault chain, shuffled or not, with its fact
+    `p1` or without; `-a_i | p1` lines with `-p1` or without; and
+    `_messy_clauses` with one proposition's negative literals made positive."""
+    n = rng.randint(1, 3)
+    alphabet, assumptions, props = helpers.make_alphabet(2 * n, n + 1)
+    chain = []
+    for i in range(n):
+        a, b, body, head = *assumptions[2 * i : 2 * i + 2], props[i], props[i + 1]
+        chain.append(helpers.mask((a, False), (body, False), (head, True)))
+        chain.append(helpers.mask((b, False), (head, True)))
+    if rng.random() < 0.5:
+        rng.shuffle(chain)
+    yield alphabet, chain + [helpers.mask((props[0], True))] * rng.randint(0, 1)
+    alphabet, assumptions, (h,) = helpers.make_alphabet(rng.randint(1, 4), 1)
+    union = [helpers.mask((a, False), (h, True)) for a in assumptions]
+    yield alphabet, union + [helpers.mask((h, False))] * rng.randint(0, 1)
+    alphabet, _, props = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
+    p = rng.choice(props)
+    positive, negative = helpers.mask((p, True)), helpers.mask((p, False))
+    clauses = _messy_clauses(rng, list(alphabet.symbols), rng.randint(1, 8))
+    yield alphabet, [m ^ negative | positive if m & negative else m for m in clauses]
+
+
 def test_produce_matches_the_frozenset_reference(monkeypatch):
     rng = random.Random(5150)
-    cases = []
+    shapes = []
     for _ in range(80):
         alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
-        clauses = _messy_clauses(rng, list(alphabet.symbols), rng.randint(1, 8))
+        shapes.append((alphabet, _messy_clauses(rng, list(alphabet.symbols), rng.randint(1, 8))))
+    # shapes with pure literals, which the assumption-only field prunes
+    for _ in range(40):
+        shapes += _one_polarity_shapes(rng)
+    cases = []
+    for alphabet, clauses in shapes:
         sigma, last = clauses[:-1], clauses[-1]
         for field in (
             ProductionField.assumption_only(alphabet),
             ProductionField.all_clauses(alphabet),
         ):
             assert produced(sigma, last, field) == reference_produced(sigma, last, field)
-        cases.append((alphabet, clauses, compile_clauses(alphabet, clauses, with_pi=True)))
+        folds = [compile_clauses(alphabet, clauses, with_pi) for with_pi in (False, True)]
+        cases.append((alphabet, clauses, folds))
     # the same folds with the reference in place of the kernel
     monkeypatch.setattr("pabr.consequence.produce", helpers.reference_produce_masks)
-    for alphabet, clauses, state in cases:
-        assert compile_clauses(alphabet, clauses, with_pi=True) == state
+    for alphabet, clauses, folds in cases:
+        assert [compile_clauses(alphabet, clauses, with_pi) for with_pi in (False, True)] == folds
+
+
+def test_union_lines_compile_with_no_resolvent_and_no_side_scan(monkeypatch):
+    # h occurs positive only, so each `-a_i | h` line adds no characteristic
+    # clause, and its fold returns before it filters the earlier lines: one
+    # tautology test in `extend` and one in `produce` per line
+    n = 200
+    alphabet, assumptions, (h,) = helpers.make_alphabet(n, 1)
+    lines = [helpers.mask((a, False), (h, True)) for a in assumptions]
+    made = helpers.count_calls(monkeypatch, "pabr.consequence.resolvent_mask")
+    tested = helpers.count_calls(monkeypatch, "pabr.consequence.is_tautology")
+    state = compile_clauses(alphabet, lines)
+    assert made == [] and len(tested) <= 2 * n
+    assert state.carc_masks == state.field.seed_masks()
+    # the negated hypothesis -h makes h impure: one resolvent per line
+    query = extend(state, helpers.mask((h, False)))
+    assert len(made) == n
+    assert query.carc_masks == {helpers.mask((a, False)) for a in assumptions}
 
 
 def test_seeded_pi_fold_matches_the_side_clause_route(monkeypatch):

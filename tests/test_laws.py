@@ -11,7 +11,10 @@ bases of 8 to 24 symbols, sizes the enumeration oracle does not reach:
   configuration where l holds quasi-supports l;
 - 2-monotonicity: dsp(h | g) + dsp(h & g) >= dsp(h) + dsp(g);
 - `auto`, `incexc` and `sdp` agree wherever all three answer (a budget
-  stop, EnumerationLimitError, is allowed; a broken law is not).
+  stop, EnumerationLimitError, is allowed; a broken law is not);
+- a state compiled with prime implicates gives the same mqs, mc and
+  support as the characteristic-clause state (that route never applies
+  the pure-literal rule, so the two check each other).
 
 Each law holds exactly in real arithmetic; TOLERANCE absorbs float drift.
 """
@@ -139,3 +142,16 @@ def test_exact_methods_agree_wherever_all_answer(cases):
                 except EnumerationLimitError:
                     continue
                 assert max(values) - min(values) <= TOLERANCE, (seed, f, values)
+
+
+def test_the_prime_implicate_route_answers_as_the_carc_route(cases):
+    for seed, dsp, _, pairs in cases:
+        pi_state = compile_kb(dsp.kb, with_pi=True)
+        assert pi_state.carc_masks == dsp.state.carc_masks, seed
+        for h, g in pairs:
+            for f in (h, g, f"!{h}", f"!{g}", f"{h} | {g}", f"{h} & {g}"):
+                support = dsp(f)
+                hypothesis = parse_formula(f, dsp.kb.alphabet)
+                sets = minimal_quasi_supports(dsp.kb, hypothesis, state=pi_state)
+                assert (sets.mqs, sets.mc) == (dsp.sets[f].mqs, dsp.sets[f].mc), (seed, f)
+                assert evaluate(sets, dsp.table).support == support, (seed, f)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pabr.consequence import compile_clauses, extend
 from pabr.errors import (
     BoundsPreconditionError,
     EnumerationLimitError,
@@ -392,18 +393,41 @@ def chain_supports(n):
     return kb, table, sets
 
 
-def test_evaluate_auto_chain_matches_closed_form():
-    # P(p_i) = q(b_i) + (1 - q(b_i)) q(a_i) P(p_{i-1}), P(p_0) = 1
-    n = 24
-    kb, table, sets = chain_supports(n)
+def chain_closed_form(kb, table, n):
+    """P(p_n) by P(p_i) = q(b_i) + (1 - q(b_i)) q(a_i) P(p_{i-1}), P(p_0) = 1."""
     expected = 1.0
     for i in range(1, n + 1):
         qa = table.prob(kb.alphabet.lookup(f"a{i}"))
         qb = table.prob(kb.alphabet.lookup(f"b{i}"))
         expected = qb + (1.0 - qb) * qa * expected
+    return expected
+
+
+def test_evaluate_auto_chain_matches_closed_form():
+    n = 24
+    kb, table, sets = chain_supports(n)
     report = evaluate(sets, table)
     assert report.method == SHANNON_EXPANSION
-    assert report.qs_prob == pytest.approx(expected, abs=1e-12)
+    assert report.qs_prob == pytest.approx(chain_closed_form(kb, table, n), abs=1e-12)
+
+
+def test_chain_compiles_and_takes_its_fact_with_no_resolvent(monkeypatch):
+    # each chain clause holds its head p_i, which no earlier clause negates:
+    # a pure literal, so the clause adds no characteristic clause. The fact
+    # p0 finds p_n pure, then, with p_n's clauses set aside, p_{n-1}, and so
+    # on down to p0 itself.
+    n = 24
+    kb, table = chain_kb(n)
+    made = helpers.count_calls(monkeypatch, "pabr.consequence.resolvent_mask")
+    state = compile_clauses(kb.alphabet, kb.sigma_k)
+    assert made == []
+    (fact,) = kb.sigma_f
+    state = extend(state, fact)
+    assert made == []
+    assert state.carc_masks == state.field.seed_masks()
+    sets = minimal_quasi_supports(kb, parse_formula(f"p{n}", kb.alphabet), state)
+    assert len(sets.mqs) == n + 1 and not sets.mc
+    assert evaluate(sets, table).qs_prob == pytest.approx(chain_closed_form(kb, table, n), abs=1e-12)
 
 
 def test_disjoint_products_chain_shortest_first_is_linear():
