@@ -32,11 +32,11 @@ into the old set.
 
 Before it saturates, the assumption-only fold applies Davis and Putnam's
 (1960) affirmative-negative rule. A proposition literal whose complement
-no side clause, kept clause or new clause holds is pure: it is never
-resolved away, so no field member derives from a clause that holds it.
-A new clause holding one adds nothing to the field; otherwise the side
-clauses holding one are set aside, which can make more literals pure,
-until none is left. For a pure literal x, forgetting x from a clause set
+no side clause or new clause holds is pure: it is never resolved away,
+so no field member derives from a clause that holds it. A new clause
+holding one adds nothing to the field; otherwise the side clauses
+holding one are set aside, which can make more literals pure, until
+none is left. For a pure literal x, forgetting x from a clause set
 leaves the set without its x clauses, so the field implicates do not
 change. Every later clause (a fact, a negated hypothesis) joins the scan,
 so a literal that was pure at compile time is not once its complement
@@ -122,10 +122,11 @@ def produce(
     seed, it returns the new minimal field implicates of the sides plus
     `clause`, to be merged with those of the sides by `_union`.
 
-    In a restricted field (`field.outside` non-zero) the pure literals
-    outside it are found first, in `sides`, `kept` and `clause` together:
-    when `clause` holds one, the kept field members come back at once;
-    otherwise the sides holding one are dropped, until no literal is pure.
+    In a restricted field (`field.outside` non-zero), which only the
+    unseeded assumption-only fold uses, the pure literals outside it are
+    found first, in `sides` and `clause` together: when `clause` holds
+    one, nothing new comes back; otherwise the sides holding one are
+    dropped, until no literal is pure.
     """
     even = even_bits(len(field.alphabet))
     kept = list(kept)
@@ -134,12 +135,11 @@ def produce(
     if field.outside:
         # the affirmative-negative rule: a pure literal outside the field is
         # never resolved away, so no field member derives from its clauses
-        held = reduce(or_, kept, clause)
         while True:
-            occurring = reduce(or_, sides, held)
+            occurring = reduce(or_, sides, clause)
             pure = occurring & ~swap(occurring, even) & field.outside
             if clause & pure:
-                return [m for m in kept if not m & field.outside]
+                return []
             pruned = [m for m in sides if not m & pure]
             if len(pruned) == len(sides):
                 break

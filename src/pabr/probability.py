@@ -17,6 +17,7 @@ fragment masks back into `Term`s.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -280,24 +281,9 @@ def _shannon_expansion(masks: Sequence[int], table: AssumptionTable) -> float:
                     f"Shannon expansion of {len(root)} terms splits more than "
                     f"{SHANNON_BUDGET} nodes"
                 )
-            # per-symbol term counts, bit-sliced: plane i holds bit i of
-            # every count, at the symbol's positive bit
-            planes: list[int] = []
-            for m in node:
-                carry = (m | m >> 1) & even
-                for i, plane in enumerate(planes):
-                    planes[i] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    planes.append(carry)
-            # the most frequent symbols, read from the top plane down
-            best = planes[-1]
-            for plane in reversed(planes):
-                if best & plane:
-                    best &= plane
-            pos = best & -best
+            # each literal counted at its symbol's positive bit
+            counts = Counter(b & even or b >> 1 for m in node for b in bits(m))
+            pos = min(counts, key=lambda b: (-counts[b], b))
             neg = pos << 1
             yes = frozenset(m & ~pos for m in node if not m & neg)
             no = frozenset(m & ~neg for m in node if not m & pos)

@@ -1,7 +1,6 @@
 """Find how large three knowledge base shapes grow before pabr misses the op budget.
 
-    python3 tools/frontier.py [--src DIR] [--seeds 1 2 3] [--shapes chain rand3 union]
-                              [--max-size N]
+    python3 tools/frontier.py [--src DIR]
 
 Shapes, each with its size parameter:
 
@@ -12,11 +11,11 @@ Shapes, each with its size parameter:
             hypothesis a random clause of one or two literals
     union   n lines `clause -x_i | h` over n assumptions, hypothesis h
 
-A size is answered when, for every seed, `pabr compile` and then `pabr
-query` without a snapshot both finish within the benchmark's per-op
-budgets (`perfbench/worker.py`: 1 s and a 32 MB rise in resident memory,
-enforced by its `Runner`) with exit code 0, or 3 for a knowledge base
-that is inconsistent on its own. Each (size, seed) runs in a child
+A size is answered when, for every seed of SEEDS, `pabr compile` and
+then `pabr query` without a snapshot both finish within the benchmark's
+per-op budgets (`perfbench/worker.py`: 1 s and a 32 MB rise in resident
+memory, enforced by its `Runner`) with exit code 0, or 3 for a knowledge
+base that is inconsistent on its own. Each (size, seed) runs in a child
 process of its own, one at a time, with pabr imported from `--src`
 (default: this tree's `src`). Sizes double from the shape's smallest
 until one is not answered, then bisect between the last answered size
@@ -25,7 +24,7 @@ cost is not monotone in size (rand3) may still miss at some smaller size.
 
 One JSON line is printed per shape: the largest size answered (null when
 not even the smallest is) and what stopped the next size (its seed, op,
-status or exit code, and wall time), or null when `--max-size` was
+status or exit code, and wall time), or null when MAX_SIZE was
 answered. The `perfbench` modules are imported and never written. Only
 the standard library is used.
 """
@@ -46,7 +45,11 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
+SEEDS = (1, 2, 3)
+# each shape with its smallest size
 SMALLEST = {"chain": 1, "rand3": 2, "union": 1}
+# the largest size tried, so that a shape that never stops still ends
+MAX_SIZE = 4096
 # exit codes that are answers: a result, or "inconsistent without assumptions"
 ANSWERED = (0, 3)
 # a child that overruns both op budgets by this much is killed
@@ -86,9 +89,9 @@ def child(src: str, shape: str, size: int, seed: int) -> None:
     print(json.dumps(results))
 
 
-def probe(src: str, shape: str, size: int, seeds: list[int]) -> dict | None:
+def probe(src: str, shape: str, size: int) -> dict | None:
     """None when every seed's ops are answered at `size`, else what stopped one."""
-    for seed in seeds:
+    for seed in SEEDS:
         argv = [sys.executable, os.path.abspath(__file__), "--src", src,
                 "--child", shape, str(size), str(seed)]
         stop = {"size": size, "seed": seed}
@@ -107,37 +110,34 @@ def probe(src: str, shape: str, size: int, seeds: list[int]) -> dict | None:
     return None
 
 
-def frontier(src: str, shape: str, seeds: list[int], max_size: int) -> dict:
+def frontier(src: str, shape: str) -> dict:
     """The largest answered size of `shape` and what stopped the next one."""
     largest, size = None, SMALLEST[shape]
     while True:
-        stop = probe(src, shape, size, seeds)
+        stop = probe(src, shape, size)
         if stop:
             break
         largest = size
-        if size >= max_size:
-            return {"shape": shape, "seeds": seeds, "largest": largest, "stopped": None}
-        size = min(2 * size, max_size)
+        if size >= MAX_SIZE:
+            return {"shape": shape, "seeds": list(SEEDS), "largest": largest, "stopped": None}
+        size = min(2 * size, MAX_SIZE)
     if largest is not None:
         low, high = largest, size
         while high - low > 1:
             mid = (low + high) // 2
-            found = probe(src, shape, mid, seeds)
+            found = probe(src, shape, mid)
             if found:
                 high, stop = mid, found
             else:
                 low = mid
         largest = low
-    return {"shape": shape, "seeds": seeds, "largest": largest, "stopped": stop}
+    return {"shape": shape, "seeds": list(SEEDS), "largest": largest, "stopped": stop}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the pabr package (default: this tree's src)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--shapes", nargs="+", choices=sorted(SMALLEST), default=list(SMALLEST))
-    parser.add_argument("--max-size", type=int, default=4096, help="largest size tried")
     parser.add_argument("--child", nargs=3, metavar=("SHAPE", "SIZE", "SEED"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     src = os.path.abspath(args.src)
@@ -145,8 +145,8 @@ def main() -> None:
         shape, size, seed = args.child
         child(src, shape, int(size), int(seed))
         return
-    for shape in args.shapes:
-        print(json.dumps(frontier(src, shape, args.seeds, args.max_size)), flush=True)
+    for shape in SMALLEST:
+        print(json.dumps(frontier(src, shape)), flush=True)
 
 
 if __name__ == "__main__":
