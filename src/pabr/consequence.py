@@ -12,7 +12,8 @@ minimal implicates are the prime implicates inside it), and into the
 assumption-only set directly otherwise.
 
 Everything here runs on clause bitmasks: the folds take and keep masks,
-snapshot files are read into masks and written from them through the
+snapshot lines are read into masks (by `logic.read_clause`, the
+clause-line reader KB files share) and written from them through the
 alphabet's literal text tables, and `Clause` objects are built only on
 demand, for the state's read-only `carc` and `pi` views.
 
@@ -51,7 +52,7 @@ from itertools import chain
 from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import ParseError, StaleSnapshotError, UndeclaredSymbolError
+from .errors import ParseError, StaleSnapshotError
 from .logic import (
     Alphabet,
     Clause,
@@ -60,8 +61,7 @@ from .logic import (
     canonical,
     even_bits,
     is_tautology,
-    parse_clause_body,
-    resolve_clause,
+    read_clause,
     resolvent_mask,
     swap,
 )
@@ -356,9 +356,9 @@ def snapshot_text(state: CompiledState) -> str:
 def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
     """Read snapshot text into a state; `#` lines (the fingerprint too) are comments.
 
-    A clause line whose literals are all in the alphabet's text table is
-    read from it; any other spelling (`- a`), or an error, goes through the
-    KB clause parser.
+    Clause lines go through `logic.read_clause`, the KB files' reader, with
+    the alphabet's literal text table, so they take the KB spellings and a
+    bad literal is reported with its line and column.
     """
     bit_of_text = alphabet.bit_of_text
     sections: dict[str, list[int]] = {}
@@ -375,18 +375,8 @@ def parse_snapshot(text: str, alphabet: Alphabet) -> CompiledState:
             continue
         if current is None:
             raise ParseError("clause before any section header", line=lineno)
-        mask = 0
-        if line != _EMPTY_TOKEN:
-            for token in line.split("|"):
-                bit = bit_of_text.get(token.strip())
-                if bit is None:
-                    try:
-                        mask = resolve_clause(parse_clause_body(raw, lineno), alphabet)
-                    except UndeclaredSymbolError as err:
-                        raise UndeclaredSymbolError(str(err), line=lineno) from None
-                    break
-                mask |= bit
-        current.append(mask)
+        clause = () if line == _EMPTY_TOKEN else read_clause(raw, bit_of_text, lineno)
+        current.append(reduce(or_, clause, 0))
     if "carc" not in sections:
         raise ParseError("missing [carc] section", line=1)
     pi = sections.get("pi")

@@ -10,9 +10,11 @@ before use:
     fact <lit> | <lit> | ...        session facts
 
 Literals negate with a leading "-" or "!". A bare `clause`/`fact` line
-asserts the empty clause. `parse_kb_text` keeps clause lines as literal
-names; `build_kb` declares the symbols and resolves each line straight to
-its clause mask (`logic.resolve_clause`), with no literal objects.
+asserts the empty clause. `parse_kb_text` reads clause lines with
+`logic.read_clause`, the snapshot files' reader, through the spellings of
+the names declared so far, and keeps their literal names; `build_kb`
+declares the symbols and resolves each line straight to its clause mask
+(`logic.resolve_clause`), with no literal objects.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .logic import (
     Alphabet,
     RawClause,
     Value,
-    literal_columns,
-    parse_clause_body,
+    RawLiteral,
+    read_clause,
     resolve_clause,
 )
 from .probability import AssumptionTable
@@ -46,11 +48,14 @@ class KbDocument(Value):
         self._freeze(assumptions, propositions, knowledge, facts)
 
 
-def _check_new_name(name: str, declared: set[str], lineno: int, column: int) -> None:
+def _declare(name: str, spellings: dict[str, RawLiteral], lineno: int, column: int) -> None:
+    """Add a new symbol name's spellings `a`, `-a` and `!a` to `spellings`."""
     if not IDENT_RE.fullmatch(name):
         raise ParseError(f"malformed name {name!r}", line=lineno, column=column)
-    if name in declared:
+    if name in spellings:
         raise ParseError(f"symbol declared twice: {name}", line=lineno, column=column)
+    spellings[name] = (False, name)
+    spellings["-" + name] = spellings["!" + name] = (True, name)
 
 
 def parse_kb_text(text: str) -> KbDocument:
@@ -59,7 +64,7 @@ def parse_kb_text(text: str) -> KbDocument:
     propositions: list[str] = []
     knowledge: list[RawClause] = []
     facts: list[RawClause] = []
-    declared: set[str] = set()
+    spellings: dict[str, RawLiteral] = {}  # of the names declared so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -68,23 +73,22 @@ def parse_kb_text(text: str) -> KbDocument:
             continue
         keyword, *rest = stripped.split(None, 1)
         column = len(line) - len(stripped) + 1
+        if keyword in ("clause", "fact"):
+            # the clause body starts after the keyword's one separating character
+            after = column + len(keyword)
+            clause = read_clause(line[after:], spellings, lineno, after)
+            (knowledge if keyword == "clause" else facts).append(tuple(clause))
+            continue
+
         body = rest[0] if rest else ""
         body_offset = len(line) - len(body) if body else column + len(keyword)
-
-        if keyword in ("clause", "fact"):
-            clause = parse_clause_body(body, lineno, body_offset)
-            for i, (_, name) in enumerate(clause):
-                if name not in declared:
-                    at = literal_columns(body, body_offset)[i]
-                    raise ParseError(f"undeclared identifier: {name}", line=lineno, column=at)
-            (knowledge if keyword == "clause" else facts).append(clause)
-        elif keyword == "assumption":
+        if keyword == "assumption":
             words = body.split()
             if len(words) != 2:
                 message = "expected: assumption <name> <probability>"
                 raise ParseError(message, line=lineno, column=column)
             name, prob_text = words
-            _check_new_name(name, declared, lineno, body_offset + 1)
+            _declare(name, spellings, lineno, body_offset + 1)
             prob_column = body_offset + len(body) - len(prob_text) + 1
             try:
                 prob = float(prob_text)
@@ -94,15 +98,13 @@ def parse_kb_text(text: str) -> KbDocument:
             if not 0.0 <= prob <= 1.0:
                 message = f"probability out of range: {prob_text}"
                 raise ParseError(message, line=lineno, column=prob_column)
-            declared.add(name)
             assumptions.append((name, prob))
         elif keyword == "prop":
             if not body:
                 raise ParseError("expected: prop <name> ...", line=lineno, column=column)
             for word in re.finditer(r"\S+", body):
                 name = word.group()
-                _check_new_name(name, declared, lineno, body_offset + word.start() + 1)
-                declared.add(name)
+                _declare(name, spellings, lineno, body_offset + word.start() + 1)
                 propositions.append(name)
         else:
             raise ParseError(f"unknown line keyword {keyword!r}", line=lineno, column=column)
@@ -116,7 +118,7 @@ def parse_kb_text(text: str) -> KbDocument:
 
 
 def parse_kb_file(path) -> KbDocument:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_kb_text(fh.read())
 
 

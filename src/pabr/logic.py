@@ -4,20 +4,21 @@ Symbols are split into two kinds. Propositions describe the domain;
 assumptions are the uncertain symbols that later carry probabilities.
 A clause (disjunction) or term (conjunction) is a set of literals, kept as
 a bitmask: bit 2i for symbol i, bit 2i+1 for its negation. Masks are the
-only clause representation from a KB line (`resolve_clause`) and a
-formula's clause form (`to_cnf`) to the folds, where subsumption and
-resolution are integer operations. Ascending bits follow declaration
-order, positive before negative, which keeps all downstream output
-deterministic. `Literal`, `Clause` and `Term` are read-only views of masks
-for callers that want objects; `Alphabet.clause_of` and `term_of` build
-them, and `term_views` builds term views without the alphabet.
+only clause representation from a KB or snapshot line (`read_clause`, the
+one reader of both) and a formula's clause form (`to_cnf`) to the folds,
+where subsumption and resolution are integer operations. Ascending bits
+follow declaration order, positive before negative, which keeps all
+downstream output deterministic. `Literal`, `Clause` and `Term` are
+read-only views of masks for callers that want objects;
+`Alphabet.clause_of` and `term_of` build them, and `term_views` builds
+term views without the alphabet.
 """
 
 from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, UndeclaredSymbolError
 
@@ -335,35 +336,41 @@ RawLiteral = tuple[bool, str]  # (negated, name)
 RawClause = tuple[RawLiteral, ...]
 
 
-def parse_clause_body(body: str, lineno: int, offset: int = 0) -> RawClause:
-    """Literals of a `|`-separated clause line, names not yet resolved.
+def read_clause(body: str, table: Mapping, line: int, offset: int = 0) -> list:
+    """The `table` value of each `|`-separated literal of a clause line.
 
-    Literals negate with a leading "-" or "!"; a blank body is the empty
-    clause. `offset` is the 0-based column where `body` starts in its line,
-    so errors carry the 1-based line and column of the bad literal.
+    `table` maps the spellings `a`, `-a` and `!a` of every known symbol
+    to a value: one dict lookup per literal reads a line written in them.
+    A blank body is the empty clause. Any other line (`- a`, a malformed
+    or unknown literal) is read again literal by literal, and an error
+    carries the literal's 1-based line and column; `offset` is the 0-based
+    column where `body` starts in its line.
     """
+    values = []
+    try:
+        for piece in body.split("|"):
+            values.append(table[piece.strip()])
+        return values
+    except KeyError:
+        pass  # another spelling, a blank body or an error: read again
     if not body.strip():
-        return ()
-    literals = []
-    for i, piece in enumerate(body.split("|")):
+        return []
+    values = []
+    column = offset + 1
+    for piece in body.split("|"):
         token = piece.strip()
+        at = column + piece.find(token)
         negated = token[:1] in ("-", "!")
         name = token[1:].strip() if negated else token
         if not IDENT_RE.fullmatch(name):
             message = f"malformed literal {token!r}" if token else "empty literal"
-            raise ParseError(message, line=lineno, column=literal_columns(body, offset)[i])
-        literals.append((negated, name))
-    return tuple(literals)
-
-
-def literal_columns(body: str, offset: int = 0) -> list[int]:
-    """The 1-based column of each `|`-separated literal (or blank piece) of a clause body."""
-    columns = []
-    column = offset + 1
-    for piece in body.split("|"):
-        columns.append(column + piece.find(piece.strip()))
+            raise ParseError(message, line=line, column=at)
+        value = table.get("-" + name if negated else name)
+        if value is None:
+            raise UndeclaredSymbolError(f"undeclared identifier: {name}", line=line, column=at)
+        values.append(value)
         column += len(piece) + 1
-    return columns
+    return values
 
 
 def resolve_clause(raw: RawClause, alphabet: Alphabet) -> int:

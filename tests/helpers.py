@@ -342,14 +342,48 @@ def reference_pi_add(state, clause):
 # --- reference snapshot reader and writer -------------------------------------
 
 
+def parse_clause_body(body, lineno, offset=0):
+    """Literals of a `|`-separated clause line as (negated, name) pairs, names not resolved.
+
+    The clause-line parser that `logic.read_clause` replaced. Literals
+    negate with a leading "-" or "!"; a blank body is the empty clause.
+    `offset` is the 0-based column where `body` starts in its line, so
+    errors carry the 1-based line and column of the bad literal.
+    """
+    from pabr.errors import ParseError
+    from pabr.logic import IDENT_RE
+
+    if not body.strip():
+        return ()
+    literals = []
+    for i, piece in enumerate(body.split("|")):
+        token = piece.strip()
+        negated = token[:1] in ("-", "!")
+        name = token[1:].strip() if negated else token
+        if not IDENT_RE.fullmatch(name):
+            message = f"malformed literal {token!r}" if token else "empty literal"
+            raise ParseError(message, line=lineno, column=literal_columns(body, offset)[i])
+        literals.append((negated, name))
+    return tuple(literals)
+
+
+def literal_columns(body, offset=0):
+    """The 1-based column of each `|`-separated literal (or blank piece) of a clause body."""
+    columns = []
+    column = offset + 1
+    for piece in body.split("|"):
+        columns.append(column + piece.find(piece.strip()))
+        column += len(piece) + 1
+    return columns
+
+
 def reference_parse_snapshot(text, alphabet):
-    """Snapshot sections as clause mask lists, every line through the KB clause parser.
+    """Snapshot sections as clause mask lists, every line through `parse_clause_body`.
 
     The line-by-line reader that `consequence.parse_snapshot` replaced, kept
-    to compare masks, error types, messages and line numbers against.
+    to compare masks, error types, messages, lines and columns against.
     """
     from pabr.errors import ParseError, UndeclaredSymbolError
-    from pabr.logic import parse_clause_body, resolve_clause
 
     sections = {}
     current = None
@@ -366,11 +400,14 @@ def reference_parse_snapshot(text, alphabet):
             continue
         if current is None:
             raise ParseError("clause before any section header", line=lineno)
-        raw_clause = parse_clause_body("" if line == "<empty>" else raw, lineno)
-        try:
-            sections[current].append(resolve_clause(raw_clause, alphabet))
-        except UndeclaredSymbolError as err:
-            raise UndeclaredSymbolError(str(err), line=lineno) from None
+        body = "" if line == "<empty>" else raw
+        mask = 0
+        for (negated, name), column in zip(parse_clause_body(body, lineno), literal_columns(body)):
+            try:
+                mask |= 1 << 2 * alphabet.lookup(name).index + negated
+            except UndeclaredSymbolError as err:
+                raise UndeclaredSymbolError(str(err), line=lineno, column=column) from None
+        sections[current].append(mask)
     if "carc" not in sections:
         raise ParseError("missing [carc] section", line=1)
     return sections

@@ -746,6 +746,16 @@ def test_undecodable_kb_file_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_kb_file_with_a_byte_order_mark_reads_as_without_one(kb_path, tmp_path, capsys):
+    plain = kb_path(helpers.BURGLAR_TEXT)
+    marked = tmp_path / "bom.pabr"
+    marked.write_bytes(b"\xef\xbb\xbf" + helpers.BURGLAR_TEXT.encode())
+    for argv in (("query", "-q", "burglary"), ("query", "-q", "!alarm | a1"), ("check",)):
+        want = run(capsys, argv[0], plain, *argv[1:])
+        assert want[0] == 0
+        assert run(capsys, argv[0], str(marked), *argv[1:]) == want
+
+
 def test_missing_snapshot_exits_2(kb_path, tmp_path, capsys):
     path = kb_path(helpers.BURGLAR_TEXT)
     missing = str(tmp_path / "absent.snap")

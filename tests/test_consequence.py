@@ -678,6 +678,23 @@ def test_mask_reader_raises_like_the_clause_reader(bad):
         assert want[2] == lines.index(bad) + 1
 
 
+@pytest.mark.parametrize("bad", [line for line in BAD_LINES if not line.startswith("[")])
+@pytest.mark.parametrize("keyword", ["clause", "fact"])
+def test_kb_and_snapshot_lines_raise_alike(bad, keyword):
+    # one clause-line reader: the same error at the same column of the body
+    declarations = "assumption a1 0.5\nassumption a2 0.5\nprop p1\n"
+    alphabet = build_kb(parse_kb_text(declarations))[0].alphabet
+    with pytest.raises(ParseError) as in_kb:
+        parse_kb_text(f"{declarations}{keyword} {bad}\n")
+    with pytest.raises(ParseError) as in_snapshot:
+        parse_snapshot(f"[carc]\n{bad}\n", alphabet)
+    kb_error, snapshot_error = in_kb.value, in_snapshot.value
+    assert (kb_error.line, snapshot_error.line) == (4, 2)
+    assert type(kb_error) is type(snapshot_error)
+    assert kb_error.args == snapshot_error.args
+    assert kb_error.column - len(keyword) - 1 == snapshot_error.column
+
+
 @pytest.mark.parametrize(
     "text",
     [

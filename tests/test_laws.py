@@ -14,15 +14,24 @@ bases of 8 to 24 symbols, sizes the enumeration oracle does not reach:
   stop, EnumerationLimitError, is allowed; a broken law is not);
 - a state compiled with prime implicates gives the same mqs, mc and
   support as the characteristic-clause state (that route never applies
-  the pure-literal rule, so the two check each other).
+  the pure-literal rule, so the two check each other);
+- a KB rewritten with its literals respelled (`-a`, `!a`, `- a`, `!  a`),
+  repeated and shuffled within each line, and comment and blank lines
+  added, prints the original's bytes through `pabr query` with no
+  snapshot, a carc-only one and a `--pi` one, and `pabr compile` writes
+  the original's snapshot bytes; with its clause lines also reordered it
+  keeps its answers and still accepts the original's snapshots.
 
 Each law holds exactly in real arithmetic; TOLERANCE absorbs float drift.
 """
 
+import contextlib
+import io
 import random
 
 import pytest
 
+from pabr.cli import main
 from pabr.errors import EnumerationLimitError, TotalInconsistencyError
 from pabr.kbfile import build_kb, parse_kb_text
 from pabr.logic import parse_formula
@@ -155,3 +164,74 @@ def test_the_prime_implicate_route_answers_as_the_carc_route(cases):
                 sets = minimal_quasi_supports(dsp.kb, hypothesis, state=pi_state)
                 assert (sets.mqs, sets.mc) == (dsp.sets[f].mqs, dsp.sets[f].mc), (seed, f)
                 assert evaluate(sets, dsp.table).support == support, (seed, f)
+
+
+def respell(rng, text, reorder=False):
+    """`text` with each `clause` line's literals respelled, one repeated and
+    all shuffled, comment and blank lines added, and the clause lines
+    themselves shuffled when `reorder`."""
+    head, clauses = [], []
+    for line in text.splitlines():
+        if not line.startswith("clause "):
+            head.append(line)
+            continue
+        literals = line.removeprefix("clause ").split(" | ")
+        literals.append(rng.choice(literals))
+        rng.shuffle(literals)
+        signs = ["-", "!", "- ", "!  "]
+        words = [rng.choice(signs) + lit[1:] if lit[0] == "-" else lit for lit in literals]
+        clauses.append("clause " + " | ".join(words))
+    if reorder:
+        rng.shuffle(clauses)
+    out = []
+    for line in head + clauses:
+        if rng.random() < 0.3:
+            out.append(rng.choice(["", "   ", "# a comment | -x"]))
+        out.append(line + rng.choice(["", "  # trailing | -x"]))
+    return "\n".join(out) + "\n"
+
+
+def cli(*argv):
+    """Exit code, stdout and stderr of one `pabr` command run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_respelled_and_reordered_kbs_answer_as_the_original(cases, tmp_path):
+    slow_spellings = 0
+    for seed, _, _, pairs in cases:
+        rng = random.Random(seed)
+        text = random_kb(rng)[0]
+        texts = {
+            "original": text,
+            "respelled": respell(rng, text),
+            "reordered": respell(rng, text, reorder=True),
+        }
+        slow_spellings += "- " in texts["respelled"] or "!  " in texts["respelled"]
+        kb, snapshot = {}, {}
+        for name, kb_text in texts.items():
+            kb[name] = tmp_path / f"{name}.pabr"
+            kb[name].write_text(kb_text)
+            for flags in ((), ("--pi",)):
+                path = snapshot[name, flags] = tmp_path / f"{name}{''.join(flags)}.snap"
+                assert cli("compile", str(kb[name]), "-o", str(path), *flags)[0] == 0, seed
+                if name == "respelled":
+                    original = snapshot["original", flags].read_bytes()
+                    assert path.read_bytes() == original, (seed, flags)
+
+        def query(name, formula, *snap):
+            return cli("query", str(kb[name]), "-q", formula, *map(str, snap))
+
+        for formula in [f for pair in pairs[:2] for f in pair]:
+            want = query("original", formula)
+            assert query("respelled", formula) == query("reordered", formula) == want, seed
+            for flags in ((), ("--pi",)):
+                want = query("original", formula, "--snapshot", snapshot["original", flags])
+                got = query("respelled", formula, "--snapshot", snapshot["respelled", flags])
+                assert got == want, (seed, formula, flags)
+                # the fingerprint covers the clause set, not the lines' order or spelling
+                got = query("reordered", formula, "--snapshot", snapshot["original", flags])
+                assert got == want, (seed, formula, flags)
+    assert slow_spellings > len(cases) // 2

@@ -1,4 +1,4 @@
-"""Find how large three knowledge base shapes grow before pabr misses the op budget.
+"""Find how large some knowledge base shapes grow before pabr misses the op budget.
 
     python3 tools/frontier.py [--src DIR]
 
@@ -10,6 +10,10 @@ Shapes, each with its size parameter:
             round(2.4 k) clauses and one fact (`workloads.rand3_kb`),
             hypothesis a random clause of one or two literals
     union   n lines `clause -x_i | h` over n assumptions, hypothesis h
+    causes-auto, causes-incexc, causes-sdp
+            r independent causes, lines `clause -x_i | -y_i | -z_i | h`
+            over 3r assumptions, hypothesis h asked with `--method` auto,
+            incexc or sdp: r disjoint three-literal support terms
 
 A size is answered when, for every seed of SEEDS, `pabr compile` and
 then `pabr query` without a snapshot both finish within the benchmark's
@@ -46,8 +50,9 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
-# each shape with its smallest size
-SMALLEST = {"chain": 1, "rand3": 2, "union": 1}
+# each shape with its smallest size; a `causes-M` shape queries with `--method M`
+SMALLEST = {"chain": 1, "rand3": 2, "union": 1,
+            "causes-auto": 1, "causes-incexc": 1, "causes-sdp": 1}
 # the largest size tried, so that a shape that never stops still ends
 MAX_SIZE = 4096
 # exit codes that are answers: a result, or "inconsistent without assumptions"
@@ -65,8 +70,10 @@ def make_kb(shape: str, size: int, seed: int, workdir: str):
     if shape == "rand3":
         kb = workloads.rand3_kb(path, rng, size, size, round(2.4 * size))
         return kb, workloads.clause_formula(workloads.random_clause(rng, kb))
-    assumptions = [(f"x{i}", round(rng.uniform(0.05, 0.95), 3)) for i in range(size)]
-    clauses = [((True, name), (False, "h")) for name, _ in assumptions]
+    letters = "xyz" if shape.startswith("causes") else "x"
+    names = [[f"{v}{i}" for v in letters] for i in range(size)]
+    assumptions = [(name, round(rng.uniform(0.05, 0.95), 3)) for line in names for name in line]
+    clauses = [tuple((True, name) for name in line) + ((False, "h"),) for line in names]
     return workloads.Kb(path, assumptions, ["h"], clauses).write(), ("v", "h")
 
 
@@ -78,9 +85,11 @@ def child(src: str, shape: str, size: int, seed: int) -> None:
 
     runner = worker.Runner()
     results = []
+    method = shape.partition("-")[2] or "auto"
     with tempfile.TemporaryDirectory() as workdir:
         kb, hypothesis = make_kb(shape, size, seed, workdir)
-        for op in (workloads.compile_op(kb, kb.path + ".snap"), workloads.query_op(kb, hypothesis)):
+        query = workloads.query_op(kb, hypothesis, method=method)
+        for op in (workloads.compile_op(kb, kb.path + ".snap"), query):
             record = runner.run(cli.main, op)
             results.append({"op": op.kind, "status": record.status, "rc": record.rc,
                             "seconds": round(record.latency, 3)})
