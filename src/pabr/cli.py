@@ -57,9 +57,9 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _terms_json(terms, text_of_bit: dict[int, str]) -> list[list[str]]:
-    """Term texts by literal, both in canonical order, read off the terms' masks."""
-    return [[text_of_bit[b] for b in bits(m)] for m in canonical(t.mask for t in terms)]
+def _terms_json(masks, text_of_bit: dict[int, str]) -> list[list[str]]:
+    """Term texts by literal, both in canonical order, read off the term masks."""
+    return [[text_of_bit[b] for b in bits(m)] for m in canonical(masks)]
 
 
 def _load_state(args, kb) -> consequence.CompiledState:
@@ -102,21 +102,14 @@ def cmd_query(args) -> int:
     sets = support.minimal_quasi_supports(kb, hypothesis, state=state)
     method = _METHODS[args.method]
     if method == "oracle":
-        qs_prob, contra_prob, sp = oracle.oracle_support(oracle.build_hint(kb), hypothesis)
-        report = probability.SupportReport(
-            mqs=sets.mqs,
-            mc=sets.mc,
-            qs_prob=qs_prob,
-            contra_prob=contra_prob,
-            support=sp,
-            method="oracle",
-        )
+        probs = oracle.oracle_support(oracle.build_hint(kb), hypothesis)
+        report = probability.SupportReport.of_sets(sets, *probs, "oracle")
     else:
         report = probability.evaluate(sets, table, method=method, l=args.l)
     payload = {
         "hypothesis": args.query,
-        "mqs": _terms_json(report.mqs, kb.alphabet.text_of_bit),
-        "mc": _terms_json(report.mc, kb.alphabet.text_of_bit),
+        "mqs": _terms_json(report.sets.mqs_masks, kb.alphabet.text_of_bit),
+        "mc": _terms_json(report.sets.mc_masks, kb.alphabet.text_of_bit),
         "qs_prob": _round12(report.qs_prob),
         "contradiction_prob": _round12(report.contra_prob),
         "support": _round12(report.support),
@@ -136,7 +129,7 @@ def cmd_check(args) -> int:
         return 3
     if mc:
         print(f"inconsistent under {len(mc)} minimal assumption set(s):")
-        for texts in _terms_json(mc, kb.alphabet.text_of_bit):
+        for texts in _terms_json((t.mask for t in mc), kb.alphabet.text_of_bit):
             print("  " + " & ".join(texts))
         return 1
     print("consistent")

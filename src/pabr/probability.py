@@ -7,31 +7,28 @@ the union, Bryant 1986), inclusion-exclusion or a sum of disjoint products,
 and bracketed cheaply by truncated alternating sums. The degree of support
 conditions the quasi-support probability on consistency.
 
-The public functions take `Term`s and check them once, on the way in
-(`_check`); every method then computes on their masks, in `logic.canonical`
-order (fewest literals first for disjoint products), multiplying literal
-probabilities in ascending bit order. Only `disjoint_products` turns
-fragment masks back into `Term`s.
+The public union functions take `Term`s and check them once, on the way
+in (`_check`); `evaluate` reads the term masks of its `SupportSets`, checked
+when the sets were made, and builds no view. Every method computes on
+masks, in `logic.canonical` order (fewest literals first for disjoint
+products), multiplying literal probabilities in ascending bit order. Only
+`disjoint_products` turns fragment masks back into `Term`s.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     BoundsPreconditionError,
     EnumerationLimitError,
     InconsistentTermError,
-    NonAssumptionLiteralError,
     TotalInconsistencyError,
 )
 from .logic import (ASSUMPTION, Symbol, Term, Value, bits, canonical, even_bits_of,
                     is_tautology, swap, term_views)
-
-if TYPE_CHECKING:
-    from .support import SupportSets
+from .support import SupportSets, assumption_mask
 
 INCLUSION_EXCLUSION = "inclusion_exclusion"
 DISJOINT_PRODUCTS = "disjoint_products"
@@ -47,9 +44,10 @@ AUTO = "auto"
 # fragment masks.
 ENUMERATION_BUDGET = 1 << 18
 
-# Split nodes of the Shannon expansion (the `auto` method). On the same
-# unions 2^14 nodes took 0.23-0.54 s and 21-25 MB, 2^16 nodes 1.0 s and
-# 87 MB. The largest union of the benchmark workloads (a 24-link chain)
+# Split nodes of the Shannon expansion (the `auto` method). On unions of
+# 100-1 000 width-3 terms over 40 assumptions (a 2-core VM) 2^14 nodes take
+# 0.15-0.25 s and 19-33 MB (`tracemalloc` peak), 2^16 nodes 0.7-1.4 s and
+# 89-167 MB. The largest union of the benchmark workloads (a 24-link chain)
 # splits 47 nodes; every union the tests answer splits fewer than 2 048.
 SHANNON_BUDGET = 1 << 14
 
@@ -96,19 +94,12 @@ def _check(term: Term, consistent: bool = False) -> int:
     """`term`'s mask, once it holds only assumption literals (and no complementary pair)."""
     if consistent and term.is_inconsistent:
         raise InconsistentTermError(f"inconsistent input term: {term}")
-    for lit in term.literals:
-        if lit.symbol.kind != ASSUMPTION:
-            raise NonAssumptionLiteralError(f"term literal over proposition {lit.symbol.name}")
-    return term.mask
+    return assumption_mask(term)
 
 
-def _masks(terms: Iterable[Term], order=canonical, consistent: bool = False) -> list[int]:
-    """The distinct masks of `terms` in `order`, each term `_check`ed in that order."""
-    by_mask = {t.mask: t for t in terms}
-    masks = order(by_mask)
-    for m in masks:
-        _check(by_mask[m], consistent)
-    return masks
+def _masks(terms: Iterable[Term]) -> list[int]:
+    """The distinct masks of `terms` in canonical order, each term `_check`ed."""
+    return canonical({_check(t) for t in terms})
 
 
 def _shortest_first(masks: Iterable[int]) -> list[int]:
@@ -170,7 +161,10 @@ def _subset_sums(masks: Sequence[int], table: AssumptionTable, kmax: int) -> lis
 
 def inclusion_exclusion(terms: Iterable[Term], table: AssumptionTable) -> float:
     """Exact union probability via the alternating subset sums."""
-    masks = _masks(terms)
+    return _inclusion_exclusion(_masks(terms), table)
+
+
+def _inclusion_exclusion(masks: Sequence[int], table: AssumptionTable) -> float:
     sums = _subset_sums(masks, table, len(masks))
     return math.fsum(s if k % 2 == 1 else -s for k, s in enumerate(sums, start=1))
 
@@ -184,8 +178,11 @@ def bonferroni_bounds(
     the exact methods apply and this raises instructing their use. The
     upper bound is also capped by the first subset sum and by 1.
     """
-    by_mask = {t.mask: t for t in terms}
-    r = len(by_mask)
+    return _bounds(_masks(terms), table, l)
+
+
+def _bounds(masks: Sequence[int], table: AssumptionTable, l: int) -> tuple[float, float]:
+    r = len(masks)
     if l < 1:
         raise BoundsPreconditionError(f"truncation order must be at least 1, got {l}")
     if 2 * l + 1 > r:
@@ -193,7 +190,7 @@ def bonferroni_bounds(
             f"truncation order {l} needs at least {2 * l + 1} terms, got {r}; "
             "use an exact method instead"
         )
-    sums = _subset_sums(_masks(by_mask.values()), table, 2 * l + 1)
+    sums = _subset_sums(masks, table, 2 * l + 1)
     lower = math.fsum(s if k % 2 == 1 else -s for k, s in enumerate(sums[: 2 * l], start=1))
     upper = min(lower + sums[2 * l], sums[0], 1.0)
     return (lower, upper)
@@ -247,11 +244,14 @@ def disjoint_products(terms: Sequence[Term]) -> list[Term]:
     return list(map(term_views(terms), _fragments(masks)))
 
 
-def _shannon_expansion(masks: Sequence[int], table: AssumptionTable) -> float:
+def _shannon_expansion(masks: Collection[int], table: AssumptionTable) -> float:
     """Exact union probability by Shannon expansion, memoized on residual term sets.
 
     Each node splits on the symbol occurring in the most terms, lowest index
     first: P = q * P(terms with it true) + (1 - q) * P(terms with it false).
+    The counts are bit-sliced: each term's symbol mask is added into count
+    planes, then the candidates narrow from the top plane down to the
+    symbols whose count is highest, and the lowest of them is taken.
     Nodes are sets of term bitmasks; a leaf multiplies its one term's literal
     probabilities (`table.bit_prob`) in literal order. An explicit stack
     replaces recursion, since a node's depth can reach the number of
@@ -281,9 +281,24 @@ def _shannon_expansion(masks: Sequence[int], table: AssumptionTable) -> float:
                     f"Shannon expansion of {len(root)} terms splits more than "
                     f"{SHANNON_BUDGET} nodes"
                 )
-            # each literal counted at its symbol's positive bit
-            counts = Counter(b & even or b >> 1 for m in node for b in bits(m))
-            pos = min(counts, key=lambda b: (-counts[b], b))
+            # bit-sliced counts: planes[i] holds bit i of each symbol's
+            # term count, at the symbol's positive bit
+            planes: list[int] = []
+            for m in node:
+                carry = (m | m >> 1) & even
+                for i, plane in enumerate(planes):
+                    planes[i] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            # the symbols of the highest count, read from the top plane
+            # down, then the lowest of them
+            pos = planes.pop()
+            for plane in reversed(planes):
+                pos = pos & plane or pos
+            pos &= -pos
             neg = pos << 1
             yes = frozenset(m & ~pos for m in node if not m & neg)
             no = frozenset(m & ~neg for m in node if not m & pos)
@@ -300,30 +315,50 @@ def degree_of_support(qs_prob: float, contra_prob: float) -> float:
     return (qs_prob - contra_prob) / (1.0 - contra_prob)
 
 
-class SupportReport(Value):
-    """Everything a query answer carries."""
+class SupportReport(Value, compare="mqs mc qs_prob contra_prob support method bounds"):
+    """Everything a query answer carries.
 
-    __slots__ = ("mqs", "mc", "qs_prob", "contra_prob", "support", "method", "bounds")
+    `sets` holds the support terms (their masks, and their views built on
+    first access); `mqs` and `mc` are its views.
+    """
+
+    __slots__ = ("sets", "qs_prob", "contra_prob", "support", "method", "bounds")
 
     def __init__(self, mqs: frozenset[Term], mc: frozenset[Term], qs_prob: float,
                  contra_prob: float, support: float, method: str,
                  bounds: tuple[float, float] | None = None):
-        self._freeze(mqs, mc, qs_prob, contra_prob, support, method, bounds)
+        self._freeze(SupportSets(mqs, mc), qs_prob, contra_prob, support, method, bounds)
+
+    @classmethod
+    def of_sets(cls, sets: SupportSets, qs_prob: float, contra_prob: float, support: float,
+                method: str, bounds: tuple[float, float] | None = None) -> SupportReport:
+        report = cls.__new__(cls)
+        report._freeze(sets, qs_prob, contra_prob, support, method, bounds)
+        return report
+
+    mqs = property(lambda self: self.sets.mqs)
+    mc = property(lambda self: self.sets.mc)
 
 
-def _union_prob(terms: Iterable[Term], table: AssumptionTable, method: str) -> float:
+def _union_prob(masks: frozenset[int], table: AssumptionTable, method: str,
+                sets: SupportSets) -> float:
     if method == INCLUSION_EXCLUSION:
-        return inclusion_exclusion(terms, table)
+        return _inclusion_exclusion(canonical(masks), table)
     if method == SHANNON_EXPANSION:
-        return _shannon_expansion(_masks(terms), table)
+        return _shannon_expansion(masks, table)
     if method == DISJOINT_PRODUCTS:
-        fragments = _fragments(_masks(terms, _shortest_first, consistent=True))
-        return math.fsum(_prob(m, table.bit_prob) for m in fragments)
+        ordered = _shortest_first(masks)
+        even = even_bits_of(0, *ordered)
+        for m in ordered:
+            if is_tautology(m, even):
+                term = {t.mask: t for t in sets.mqs | sets.mc}[m]
+                raise InconsistentTermError(f"inconsistent input term: {term}")
+        return math.fsum(_prob(m, table.bit_prob) for m in _fragments(ordered))
     raise ValueError(f"unknown exact method: {method!r}")
 
 
 def evaluate(
-    sets: "SupportSets",
+    sets: SupportSets,
     table: AssumptionTable,
     method: str = AUTO,
     l: int | None = None,
@@ -336,25 +371,17 @@ def evaluate(
     carries the truncation bracket on the quasi-support probability; the
     point values always come from an exact method.
     """
-    qs_terms = set(sets.mqs) | set(sets.mc)
+    qs_masks = sets.mqs_masks | sets.mc_masks
     chosen = SHANNON_EXPANSION if method == AUTO else method
     exact = SHANNON_EXPANSION if chosen == BOUNDS else chosen
     bounds = None
     if chosen == BOUNDS:
-        bounds = bonferroni_bounds(qs_terms, table, 1 if l is None else l)
-    qs_prob = _union_prob(qs_terms, table, exact)
-    contra_prob = _union_prob(sets.mc, table, exact)
+        bounds = _bounds(canonical(qs_masks), table, 1 if l is None else l)
+    qs_prob = _union_prob(qs_masks, table, exact, sets)
+    contra_prob = _union_prob(sets.mc_masks, table, exact, sets)
     # The union over mqs+mc covers the union over mc; guard the identity
     # against last-bit float drift between the two sums.
     if qs_prob < contra_prob:
         qs_prob = contra_prob
     support = degree_of_support(qs_prob, contra_prob)
-    return SupportReport(
-        mqs=frozenset(sets.mqs),
-        mc=frozenset(sets.mc),
-        qs_prob=qs_prob,
-        contra_prob=contra_prob,
-        support=support,
-        method=chosen,
-        bounds=bounds,
-    )
+    return SupportReport.of_sets(sets, qs_prob, contra_prob, support, chosen, bounds)

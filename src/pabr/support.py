@@ -6,13 +6,15 @@ entail the inconsistency. Both sets fall out of the assumption-only
 minimal implicates: negate each clause literal-wise to get a term. The
 hypothesis enters by conjoining the clause form of its negation.
 
-Both routes compute on clause masks; the negation is `swap`, and `Term`
-views are built once, as the `SupportSets` returned to the caller.
+Both routes compute on clause masks; the negation is `swap`, and the
+`SupportSets` returned to the caller hold term masks, whose `Term` views are
+built on first access.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .consequence import CompiledState, compile_clauses, extend
 from .errors import NonAssumptionLiteralError
@@ -57,21 +59,56 @@ class KnowledgeBase(Value):
         return self.sigma_k + self.sigma_f
 
 
-class SupportSets(Value):
-    __slots__ = ("mqs", "mc")
+def assumption_mask(term: Term) -> int:
+    """`term`'s mask, once it holds only assumption literals."""
+    for lit in term.literals:
+        if lit.symbol.kind != ASSUMPTION:
+            raise NonAssumptionLiteralError(f"term literal over proposition {lit.symbol.name}")
+    return term.mask
+
+
+class SupportSets(Value, compare="mqs mc"):
+    """Minimal quasi-supports and minimal contradictions of one query.
+
+    `mqs_masks` and `mc_masks` hold the terms as literal bitmasks, which
+    `evaluate` and the command line read. `mqs` and `mc` are the same sets
+    as `Term` views: given to the constructor, which rejects a term over a
+    proposition, or built on first access by `term_of` for sets made by
+    `of_masks`. Equality, hashing, repr and pickling go by the views.
+    """
+
+    # __dict__ holds the views
+    __slots__ = ("mqs_masks", "mc_masks", "term_of", "__dict__")
 
     def __init__(self, mqs: frozenset[Term], mc: frozenset[Term]):
-        self._freeze(mqs, mc)
+        masks = [frozenset(map(assumption_mask, terms)) for terms in (mqs, mc)]
+        self._freeze(*masks, None)
+        self.__dict__.update(mqs=mqs, mc=mc)
+
+    @classmethod
+    def of_masks(cls, mqs_masks: frozenset[int], mc_masks: frozenset[int],
+                 term_of: Callable[[int], Term]) -> SupportSets:
+        sets = cls.__new__(cls)
+        sets._freeze(mqs_masks, mc_masks, term_of)
+        return sets
+
+    @cached_property
+    def mqs(self) -> frozenset[Term]:
+        return frozenset(map(self.term_of, self.mqs_masks))
+
+    @cached_property
+    def mc(self) -> frozenset[Term]:
+        return frozenset(map(self.term_of, self.mc_masks))
 
 
-def _negations(clauses: Iterable[int], even: int, term_of) -> frozenset[Term]:
-    """The literal-wise negations of the non-tautological `clauses`, as terms."""
-    return frozenset(term_of(swap(m, even)) for m in clauses if not is_tautology(m, even))
+def _negations(clauses: Iterable[int], even: int) -> frozenset[int]:
+    """The literal-wise negations of the non-tautological `clauses`."""
+    return frozenset(swap(m, even) for m in clauses if not is_tautology(m, even))
 
 
-def _state_terms(state: CompiledState) -> frozenset[Term]:
-    """The support terms of a state's carc: the tautology seeds stripped,
-    the rest swapped literal-wise into assumption terms."""
+def _state_terms(state: CompiledState) -> frozenset[int]:
+    """The support term masks of a state's carc: the tautology seeds
+    stripped, the rest swapped literal-wise into assumption terms."""
     alphabet = state.field.alphabet
     even = even_bits(len(alphabet))
     for m in state.carc_masks:
@@ -82,7 +119,7 @@ def _state_terms(state: CompiledState) -> frozenset[Term]:
             raise NonAssumptionLiteralError(
                 f"literal over proposition {lit.symbol.name} has no assumption-term reading"
             )
-    return _negations(state.carc_masks, even, alphabet.term_of)
+    return _negations(state.carc_masks, even)
 
 
 def compile_kb(kb: KnowledgeBase, with_pi: bool = False) -> CompiledState:
@@ -100,7 +137,7 @@ def minimal_contradictions(
     """
     if state is None:
         state = compile_kb(kb)
-    return _state_terms(state)
+    return frozenset(map(state.field.alphabet.term_of, _state_terms(state)))
 
 
 def minimal_quasi_supports(
@@ -119,8 +156,7 @@ def minimal_quasi_supports(
     query_state = state
     for clause in canonical(to_cnf(Not(hypothesis))):
         query_state = extend(query_state, clause)
-    mqs = _state_terms(query_state)
-    return SupportSets(mqs=mqs, mc=mc)
+    return SupportSets.of_masks(_state_terms(query_state), mc, state.field.alphabet.term_of)
 
 
 def compiled_mqs(pi: Iterable[Clause], hypothesis: Clause) -> SupportSets:
@@ -131,13 +167,13 @@ def compiled_mqs(pi: Iterable[Clause], hypothesis: Clause) -> SupportSets:
     those remainders gives the quasi-supports. The assumption-only prime
     implicates themselves give the contradictions. With h empty the two
     coincide. Everything is computed on the clauses' masks; the terms are
-    built from their literals' negations at the end.
+    built from their literals' negations on first access.
     """
     pi = list(pi)
     masks = [f.mask for f in pi]
     even = even_bits_of(0, *masks)
     props = sum({l.bit for f in pi for l in f.literals if l.symbol.kind != ASSUMPTION})
-    term_of = term_views(pi)
     residues = (m & ~hypothesis.mask for m in masks)
-    mqs = _negations(minimal_masks(r for r in residues if not r & props), even, term_of)
-    return SupportSets(mqs=mqs, mc=_negations((m for m in masks if not m & props), even, term_of))
+    mqs = _negations(minimal_masks(r for r in residues if not r & props), even)
+    mc = _negations((m for m in masks if not m & props), even)
+    return SupportSets.of_masks(mqs, mc, term_views(pi))

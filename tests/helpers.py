@@ -9,7 +9,11 @@ types are reused to build inputs and compare outputs.
 import importlib
 import math
 import random
+from collections import Counter
 from itertools import product
+
+from pabr import probability
+from pabr.errors import EnumerationLimitError
 
 from pabr.logic import (
     ASSUMPTION,
@@ -23,6 +27,9 @@ from pabr.logic import (
     Not,
     Or,
     Term,
+    bits,
+    even_bits_of,
+    is_tautology,
 )
 from pabr.probability import AssumptionTable
 from pabr.support import KnowledgeBase
@@ -230,6 +237,54 @@ def union_prob_brute(terms, table):
                 p *= q if v else 1.0 - q
             covered.append(p)
     return math.fsum(covered)
+
+
+def reference_shannon_expansion(masks, table):
+    """`probability._shannon_expansion` as it was with a `Counter` split pick:
+    each node splits on the symbol in the most terms, lowest index first,
+    and stops past `probability.SHANNON_BUDGET` split nodes (read per call)."""
+    probs = table.bit_prob
+    even = even_bits_of(0, *masks)
+    root = frozenset(m for m in masks if not is_tautology(m, even))
+    memo = {}
+    stack = [(root, None)]
+    splits = 0
+    while stack:
+        node, split = stack.pop()
+        if split:
+            pos, yes, no = split
+            memo[node] = probs[pos] * memo[yes] + probs[pos << 1] * memo[no]
+        elif node in memo:
+            continue
+        elif len(node) <= 1 or 0 in node:
+            memo[node] = math.prod((probs[b] for b in bits(min(node))), start=1.0) if node else 0.0
+        else:
+            splits += 1
+            if splits > probability.SHANNON_BUDGET:
+                raise EnumerationLimitError(f"{len(root)} terms split past the budget")
+            counts = Counter(b & even or b >> 1 for m in node for b in bits(m))
+            pos = min(counts, key=lambda b: (-counts[b], b))
+            neg = pos << 1
+            yes = frozenset(m & ~pos for m in node if not m & neg)
+            no = frozenset(m & ~neg for m in node if not m & pos)
+            stack += ((node, (pos, yes, no)), (yes, None), (no, None))
+    return memo[root]
+
+
+def chain_text(n):
+    """A fault chain of n links: p0 holds; a_i with p_{i-1} gives p_i, and
+    b_i gives p_i on its own."""
+    rng = random.Random(n)
+    lines = []
+    for i in range(1, n + 1):
+        lines.append(f"assumption a{i} {rng.choice(Q_CHOICES)}")
+        lines.append(f"assumption b{i} {rng.choice(Q_CHOICES)}")
+    lines.append("prop " + " ".join(f"p{i}" for i in range(n + 1)))
+    for i in range(1, n + 1):
+        lines.append(f"clause -a{i} | -p{i - 1} | p{i}")
+        lines.append(f"clause -b{i} | p{i}")
+    lines.append("fact p0")
+    return "\n".join(lines) + "\n"
 
 
 def term_units(t):

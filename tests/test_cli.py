@@ -20,6 +20,8 @@ from pabr import errors
 from pabr.cli import main
 from pabr.consequence import fingerprint, read_snapshot
 from pabr.kbfile import build_kb, parse_kb_text
+from pabr.logic import parse_formula
+from pabr.support import minimal_quasi_supports
 
 import helpers
 
@@ -681,6 +683,39 @@ def test_query_and_check_render_from_masks(kb_path, capsys, monkeypatch):
     monkeypatch.setattr(_LiteralSet, "sort_key", property(refuse))
     assert [run(capsys, *argv) for argv in runs] == unpatched
     assert {code for code, _, _ in unpatched} == {0, 1, 4}
+
+
+def test_query_builds_no_term_or_literal_view(kb_path, capsys, monkeypatch):
+    # a query prints its terms from masks, so under every method it makes
+    # no `Term` and no `Literal`; the library's sets still hold the views
+    from pabr.logic import Literal, Term
+
+    runs = []
+    for name, text, hypotheses in (
+        ("burglar.pabr", helpers.BURGLAR_TEXT, ["burglary", "alarm | !burglary", "a1 & !a2"]),
+        ("chain.pabr", helpers.chain_text(6), ["p6", "p2 & !p3"]),
+    ):
+        path = kb_path(text, name)
+        for h in hypotheses:
+            for method in ("auto", "incexc", "sdp", "bounds"):
+                runs.append(["query", path, "-q", h, "--method", method])
+    built = []
+    for cls in (Term, Literal):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init):
+            built.append(self)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert {run(capsys, *argv)[0] for argv in runs} == {0, 4}
+    assert built == []
+    kb, _table = build_kb(parse_kb_text(helpers.chain_text(6)))
+    hypothesis = parse_formula("p6", kb.alphabet)
+    sets = minimal_quasi_supports(kb, hypothesis)
+    assert built == []
+    assert sets.mqs == {kb.alphabet.term_of(m) for m in sets.mqs_masks} and len(sets.mqs) == 7
+    assert sets.mc == frozenset()
 
 
 def test_check_parse_error(kb_path, capsys):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from pabr.errors import (
 )
 from pabr.kbfile import build_kb, parse_kb_text
 from pabr.logic import Term, mu_minimize, parse_formula
+from pabr import probability
 from pabr.probability import (
     AUTO,
     BOUNDS,
@@ -372,18 +374,7 @@ def test_evaluate_auto_switches_on_term_count():
 
 
 def chain_kb(n):
-    """p0 holds; a_i with p_{i-1} gives p_i, and b_i gives p_i on its own."""
-    rng = random.Random(n)
-    lines = []
-    for i in range(1, n + 1):
-        lines.append(f"assumption a{i} {rng.choice(helpers.Q_CHOICES)}")
-        lines.append(f"assumption b{i} {rng.choice(helpers.Q_CHOICES)}")
-    lines.append("prop " + " ".join(f"p{i}" for i in range(n + 1)))
-    for i in range(1, n + 1):
-        lines.append(f"clause -a{i} | -p{i - 1} | p{i}")
-        lines.append(f"clause -b{i} | p{i}")
-    lines.append("fact p0")
-    return build_kb(parse_kb_text("\n".join(lines) + "\n"))
+    return build_kb(parse_kb_text(helpers.chain_text(n)))
 
 
 def chain_supports(n):
@@ -501,6 +492,54 @@ def test_evaluate_auto_expands_unions_deeper_than_the_recursion_limit():
     expected = 1.0 - (1.0 - 0.999**depth) ** 2
     assert report.method == SHANNON_EXPANSION
     assert report.qs_prob == pytest.approx(expected, abs=1e-12)
+
+
+_, SHANNON_ASSUMPTIONS, _ = helpers.make_alphabet(24, 0)
+
+
+def _shannon_outcome(expand, masks, table):
+    try:
+        return expand(masks, table)
+    except EnumerationLimitError:
+        return "stopped"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_shannon_split_pick_matches_the_counting_reference_bit_for_bit(data):
+    # unions of 0-40 terms over up to 24 assumptions; a term may name a
+    # symbol twice, with either sign, so some are inconsistent; duplicates
+    # and the empty term are added on top
+    n = data.draw(st.integers(1, 24))
+    assumptions = SHANNON_ASSUMPTIONS[:n]
+    literal = st.tuples(st.sampled_from(assumptions), st.booleans())
+    size = data.draw(st.integers(0, 40))
+    masks = data.draw(st.lists(st.lists(literal, min_size=1, max_size=4).map(
+        lambda pairs: helpers.mask(*pairs)), min_size=size, max_size=size))
+    if masks:
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=4))
+    if data.draw(st.booleans()):
+        masks.append(0)
+    qs = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.77, 0.99, 1.0]),
+                            min_size=n, max_size=n))
+    table = table_over(assumptions, qs)
+    for budget in (probability.SHANNON_BUDGET, 6):
+        with mock.patch.object(probability, "SHANNON_BUDGET", budget):
+            got = _shannon_outcome(probability._shannon_expansion, masks, table)
+            assert got == _shannon_outcome(helpers.reference_shannon_expansion, masks, table)
+
+
+def test_evaluate_still_rejects_bad_hand_built_sets():
+    alphabet, (a1,), (p1,) = helpers.make_alphabet(1, 1)
+    table = table_over([a1], [0.5])
+    with pytest.raises(NonAssumptionLiteralError, match="^term literal over proposition p1$"):
+        evaluate(SupportSets(frozenset([helpers.term((a1, True), (p1, False))]), frozenset()), table)
+    inconsistent = SupportSets(
+        frozenset([helpers.term((a1, True))]), frozenset([helpers.term((a1, True), (a1, False))])
+    )
+    with pytest.raises(InconsistentTermError, match="^inconsistent input term: a1 & -a1$"):
+        evaluate(inconsistent, table, method=DISJOINT_PRODUCTS)
+    assert evaluate(inconsistent, table).support == 0.5
 
 
 def test_subset_walks_deeper_than_the_recursion_limit_stop_at_the_budget():
