@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError, UndeclaredSymbolError
 
@@ -205,14 +205,6 @@ class _LiteralSet(Value, compare="literals"):
         return not self.literals
 
     @property
-    def has_complementary_pair(self) -> bool:
-        return is_tautology(self.mask, even_bits_of(self.mask))
-
-    @property
-    def is_assumption_only(self) -> bool:
-        return all(l.symbol.kind == ASSUMPTION for l in self.literals)
-
-    @property
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(l.sort_key for l in self.sorted_literals)
 
@@ -227,7 +219,7 @@ class Clause(_LiteralSet):
 
     @property
     def is_tautology(self) -> bool:
-        return self.has_complementary_pair
+        return is_tautology(self.mask, even_bits_of(self.mask))
 
     def __str__(self):
         if self.is_empty:
@@ -245,7 +237,7 @@ class Term(_LiteralSet):
 
     @property
     def is_inconsistent(self) -> bool:
-        return self.has_complementary_pair
+        return is_tautology(self.mask, even_bits_of(self.mask))
 
     def __str__(self):
         if self.is_empty:
@@ -264,16 +256,6 @@ def term_views(views: Iterable[_LiteralSet]) -> Callable[[int], Term]:
             neg = lit.negate()
             literal_of[lit.bit], literal_of[neg.bit] = lit, neg
     return lambda mask: Term(frozenset(map(literal_of.__getitem__, bits(mask))))
-
-
-def mu_minimize(items: Iterable) -> frozenset:
-    """Keep exactly the elements that strictly subsume no other element.
-
-    Duplicates collapse by set semantics. Works on clauses and on terms;
-    callers keep the input homogeneous and over one alphabet.
-    """
-    pool = {x.mask: x for x in items}
-    return frozenset(pool[m] for m in minimal_masks(pool))
 
 
 def minimal_masks(masks: Iterable[int]) -> list[int]:
@@ -512,7 +494,7 @@ def parse_formula(text: str, alphabet: Alphabet) -> Formula:
             operands.append(Not(operands.pop()))
 
 
-def _polar_postorder(f: Formula) -> list[tuple[Formula, bool]]:
+def polar_postorder(f: Formula) -> list[tuple[Formula, bool]]:
     """The atoms and binary nodes of `f`, children before parents, with their polarity.
 
     A node is `negated` below an odd number of negations, the left side of
@@ -545,7 +527,7 @@ def to_cnf(formula: Formula) -> frozenset[int]:
     Tautologies and subsumed clauses are dropped at every node, so a valid
     formula yields the empty clause set.
     """
-    order = _polar_postorder(formula)
+    order = polar_postorder(formula)
     even = even_bits(1 + max(n.symbol.index for n, _ in order if isinstance(n, Atom)))
     values: list[list[int]] = []
     for node, negated in order:
@@ -559,31 +541,3 @@ def to_cnf(formula: Formula) -> frozenset[int]:
             merged = (a | b for a in left for b in right)
             values.append(minimal_masks(m for m in merged if not is_tautology(m, even)))
     return frozenset(values.pop())
-
-
-def clause_to_formula(clause: Clause) -> Formula:
-    """Disjunction tree for a nonempty clause, literals in canonical order."""
-    if clause.is_empty:
-        raise ValueError("the empty clause has no formula rendering")
-    node = None
-    for lit in clause.sorted_literals:
-        leaf = Atom(lit.symbol) if lit.positive else Not(Atom(lit.symbol))
-        node = leaf if node is None else Or(node, leaf)
-    return node
-
-
-def formula_value(f: Formula, bits: Sequence[int]) -> bool:
-    """Evaluate under an interpretation given as bits indexed by symbol index."""
-    values: list[bool] = []
-    for node, negated in _polar_postorder(f):
-        if isinstance(node, Atom):
-            values.append(bool(bits[node.symbol.index]) != negated)
-        elif isinstance(node, And) != negated:
-            values.append(values.pop() & values.pop())
-        else:
-            values.append(values.pop() | values.pop())
-    return values.pop()
-
-
-def clause_value(clause: Clause, bits: Sequence[int]) -> bool:
-    return any(bool(bits[l.symbol.index]) == l.positive for l in clause.literals)

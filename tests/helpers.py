@@ -9,11 +9,12 @@ types are reused to build inputs and compare outputs.
 import importlib
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import product
+from operator import itemgetter
 
 from pabr import probability
-from pabr.errors import EnumerationLimitError
+from pabr.errors import EnumerationLimitError, TotalInconsistencyError
 
 from pabr.logic import (
     ASSUMPTION,
@@ -30,6 +31,8 @@ from pabr.logic import (
     bits,
     even_bits_of,
     is_tautology,
+    minimal_masks,
+    polar_postorder,
 )
 from pabr.probability import AssumptionTable
 from pabr.support import KnowledgeBase
@@ -102,6 +105,52 @@ def render(f):
         return "!" + render(f.operand)
     op = {And: "&", Or: "|", Implies: "->"}[type(f)]
     return f"({render(f.left)} {op} {render(f.right)})"
+
+
+# --- values and views that `pabr` no longer needs -------------------------------
+
+
+def formula_value(f, bits):
+    """Evaluate under an interpretation given as bits indexed by symbol index."""
+    values = []
+    for node, negated in polar_postorder(f):
+        if isinstance(node, Atom):
+            values.append(bool(bits[node.symbol.index]) != negated)
+        elif isinstance(node, And) != negated:
+            values.append(values.pop() & values.pop())
+        else:
+            values.append(values.pop() | values.pop())
+    return values.pop()
+
+
+def clause_value(clause, bits):
+    return any(bool(bits[l.symbol.index]) == l.positive for l in clause.literals)
+
+
+def clause_to_formula(clause):
+    """Disjunction tree for a nonempty clause, literals in canonical order."""
+    if clause.is_empty:
+        raise ValueError("the empty clause has no formula rendering")
+    node = None
+    for lit in clause.sorted_literals:
+        leaf = Atom(lit.symbol) if lit.positive else Not(Atom(lit.symbol))
+        node = leaf if node is None else Or(node, leaf)
+    return node
+
+
+def mu_minimize(items):
+    """Keep exactly the elements that strictly subsume no other element.
+
+    Duplicates collapse by set semantics. Works on clauses and on terms;
+    callers keep the input homogeneous and over one alphabet.
+    """
+    pool = {x.mask: x for x in items}
+    return frozenset(pool[m] for m in minimal_masks(pool))
+
+
+def is_assumption_only(view):
+    """True when every literal of a clause or term view is over an assumption."""
+    return all(l.symbol.kind == ASSUMPTION for l in view.literals)
 
 
 # --- truth tables over bitmasks ----------------------------------------------
@@ -181,7 +230,6 @@ def enumerate_min_implicates(clauses, alphabet, assumption_only):
 def batch_carc(clauses, alphabet):
     """Batch ground truth: minimal assumption-only implicates plus seeds."""
     from pabr.consequence import ProductionField
-    from pabr.logic import mu_minimize
 
     field = ProductionField.assumption_only(alphabet)
     found = enumerate_min_implicates(clauses, alphabet, assumption_only=True)
@@ -190,7 +238,6 @@ def batch_carc(clauses, alphabet):
 
 def batch_pi(clauses, alphabet):
     from pabr.consequence import ProductionField
-    from pabr.logic import mu_minimize
 
     field = ProductionField.all_clauses(alphabet)
     found = enumerate_min_implicates(clauses, alphabet, assumption_only=False)
@@ -318,6 +365,86 @@ def count_calls(monkeypatch, target):
     return calls
 
 
+# --- reference enumeration oracle ----------------------------------------------
+
+ReferenceHint = namedtuple("ReferenceHint", "gamma prior omega")
+
+
+def _projection(indices):
+    """`bits -> tuple(bits[i] for i in indices)`, built once for every interpretation."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda bits: (bits[i],)
+    if not indices:
+        return lambda bits: ()
+    return itemgetter(*indices)
+
+
+def reference_build_hint(kb):
+    """`oracle.build_hint` as it was, enumerating interpretations as tuples.
+
+    Every assumption configuration appears in gamma, possibly with an empty
+    interpretation tuple; omega is the subset with at least one model.
+    """
+    from pabr.oracle import SYMBOL_LIMIT
+
+    table = kb.assumptions
+    symbols = kb.alphabet.symbols
+    if len(symbols) > SYMBOL_LIMIT:
+        raise EnumerationLimitError(
+            f"{len(symbols)} symbols exceed the enumeration limit of {SYMBOL_LIMIT}"
+        )
+    assumption_syms = table.symbols
+    project = _projection([s.index for s in assumption_syms])
+    clauses = [kb.alphabet.clause_of(m) for m in kb.clauses]
+
+    gamma = {}
+    for config in product((0, 1), repeat=len(assumption_syms)):
+        gamma[config] = []
+    for bits in product((0, 1), repeat=len(symbols)):
+        if all(clause_value(c, bits) for c in clauses):
+            gamma[project(bits)].append(bits)
+
+    prior = {}
+    for config in gamma:
+        p = 1.0
+        for sym, value in zip(assumption_syms, config):
+            q = table.prob(sym)
+            p *= q if value else 1.0 - q
+        prior[config] = p
+
+    return ReferenceHint(
+        gamma={config: tuple(models) for config, models in gamma.items()},
+        prior=prior,
+        omega=frozenset(config for config, models in gamma.items() if models),
+    )
+
+
+def reference_quasi_supporting_configs(model, hypothesis):
+    """Configurations whose admitted interpretations all satisfy the hypothesis."""
+    return frozenset(
+        config
+        for config, models in model.gamma.items()
+        if all(formula_value(hypothesis, bits) for bits in models)
+    )
+
+
+def reference_oracle_support(model, hypothesis):
+    """(unnormalized support, contradiction mass, degree of support)."""
+    supporting = reference_quasi_supporting_configs(model, hypothesis)
+    qs_prob = math.fsum(model.prior[c] for c in supporting)
+    contra_prob = math.fsum(
+        model.prior[c] for c in model.gamma if c not in model.omega
+    )
+    omega_mass = math.fsum(model.prior[c] for c in model.omega)
+    if omega_mass <= 0.0:
+        raise TotalInconsistencyError(
+            "the knowledge base excludes every assumption configuration"
+        )
+    support = math.fsum(model.prior[c] for c in supporting & model.omega) / omega_mass
+    return (qs_prob, contra_prob, support)
+
+
 # --- reference consequence finding ---------------------------------------------
 
 
@@ -371,8 +498,6 @@ def reference_produce_masks(sides, clause, field, kept=()):
     with it by minimization; the seed's tautologies (`s | -s`) stay, as
     they do in `produce`, until a member subsumes them.
     """
-    from pabr.logic import mu_minimize
-
     alphabet = field.alphabet
     sigma = [alphabet.clause_of(m) for m in (*sides, *kept)]
     fresh = reference_produce(sigma, alphabet.clause_of(clause), field)

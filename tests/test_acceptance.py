@@ -16,7 +16,7 @@ import pytest
 from pabr.consequence import compile_clauses
 from pabr.errors import TotalInconsistencyError
 from pabr.kbfile import build_kb, parse_kb_text
-from pabr.logic import clause_to_formula, parse_formula, Term
+from pabr.logic import parse_formula, Term
 from pabr.oracle import (
     build_hint,
     oracle_support,
@@ -61,7 +61,7 @@ def sweep():
     for _ in range(SWEEP_SIZE):
         kb, table = helpers.random_kb(rng)
         h_clause = helpers.random_clause(rng, list(kb.alphabet.symbols))
-        h_formula = clause_to_formula(h_clause)
+        h_formula = helpers.clause_to_formula(h_clause)
         sets = minimal_quasi_supports(kb, h_formula)
         record = Record(
             kb=kb, table=table, h_clause=h_clause, h_formula=h_formula, sets=sets
@@ -172,7 +172,7 @@ def test_criterion_6_incremental_fold_matches_batch_enumeration():
             assert state.carc == want_carc
             assert state.pi == want_pi
             assert state.carc == frozenset(
-                c for c in state.pi if c.is_assumption_only
+                c for c in state.pi if helpers.is_assumption_only(c)
             )
 
 

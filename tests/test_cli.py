@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -568,6 +569,26 @@ def test_query_oracle_enforces_enumeration_limit(kb_path, capsys):
     code, _out, err = run(capsys, "query", path, "-q", "p1", "--method", "oracle")
     assert code == 1
     assert "limit" in err
+
+
+def test_query_oracle_answers_at_the_symbol_limit(kb_path, capsys):
+    # 19 lines `clause -x_i | h`: 20 symbols, 2^19 configurations, within
+    # the benchmark's per-op memory budget of 32 MB
+    qs = [round(0.05 + 0.045 * i, 3) for i in range(19)]
+    lines = [f"assumption x{i} {q}" for i, q in enumerate(qs)] + ["prop h"]
+    lines += [f"clause -x{i} | h" for i in range(19)]
+    path = kb_path("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "query", path, "-q", "h", "--method", "oracle")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert peak < 32 * 2**20
+    payload = json.loads(out)
+    assert payload["method"] == "oracle"
+    assert payload["support"] == pytest.approx(1 - math.prod(1 - q for q in qs), abs=1e-9)
 
 
 def _random_fact_kb(rng):

@@ -20,7 +20,7 @@ from pabr.consequence import (
 )
 from pabr.errors import ParseError
 from pabr.kbfile import build_kb, parse_kb_text
-from pabr.logic import Not, mu_minimize, parse_formula, to_cnf
+from pabr.logic import Not, parse_formula, to_cnf
 
 import helpers
 
@@ -128,7 +128,7 @@ def test_produce_contract_against_enumeration():
         clauses = list(kb.sigma_k)
         sigma, last = clauses[:-1], clauses[-1]
         fresh = produced(sigma, last, pa)
-        merged = mu_minimize(expected_carc(sigma, alphabet) | fresh)
+        merged = helpers.mu_minimize(expected_carc(sigma, alphabet) | fresh)
         assert merged == expected_carc(clauses, alphabet)
         # seeded with the prime implicates of sigma, no sides: those of sigma + [last]
         full = ProductionField.all_clauses(alphabet)
@@ -320,7 +320,7 @@ def _random_antichain(rng, alphabet):
     symbols = list(alphabet.symbols)
     clauses = _messy_clauses(rng, symbols, rng.randint(0, 6))
     clauses += [helpers.mask((s, rng.random() < 0.5)) for s in rng.sample(symbols, 1)]
-    return mu_minimize(map(alphabet.clause_of, clauses))
+    return helpers.mu_minimize(map(alphabet.clause_of, clauses))
 
 
 def masks(clauses):
@@ -336,10 +336,10 @@ def test_union_equals_mu_minimize_of_the_merged_antichains():
         fresh = _random_antichain(rng, alphabet)
         if rng.random() < 0.3:
             # share members between the two sets
-            fresh = mu_minimize(fresh | set(rng.sample(sorted(old, key=len), 1)))
+            fresh = helpers.mu_minimize(fresh | set(rng.sample(sorted(old, key=len), 1)))
         saw_equal |= bool(old & fresh)
         saw_empty |= helpers.clause() in old | fresh
-        want = masks(mu_minimize(old | fresh))
+        want = masks(helpers.mu_minimize(old | fresh))
         assert _union(masks(old), masks(fresh)) == want
         assert _union(masks(fresh), masks(old)) == want
     assert saw_equal and saw_empty
@@ -461,7 +461,7 @@ def test_carc_equals_assumption_only_prime_implicates():
     for _ in range(15):
         kb, _table = helpers.small_random_kb(rng)
         state = compile_clauses(kb.alphabet, kb.sigma_k, with_pi=True)
-        assert state.carc == frozenset(c for c in state.pi if c.is_assumption_only)
+        assert state.carc == frozenset(c for c in state.pi if helpers.is_assumption_only(c))
 
 
 def test_facts_fold_through_pi_of_a_snapshot():

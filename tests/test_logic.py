@@ -17,13 +17,9 @@ from pabr.logic import (
     Not,
     Or,
     Term,
-    clause_to_formula,
-    clause_value,
     even_bits,
-    formula_value,
     is_tautology,
     minimal_masks,
-    mu_minimize,
     parse_formula,
     resolvent_mask,
     swap,
@@ -31,6 +27,7 @@ from pabr.logic import (
 )
 
 import helpers
+from helpers import clause_to_formula, clause_value, formula_value, mu_minimize
 
 ALPHABET, (A1, A2), (P, Q, R) = helpers.make_alphabet(2, 3)
 SYMS = [A1, A2, P, Q, R]

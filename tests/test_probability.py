@@ -22,7 +22,7 @@ from pabr.errors import (
     TotalInconsistencyError,
 )
 from pabr.kbfile import build_kb, parse_kb_text
-from pabr.logic import Term, mu_minimize, parse_formula
+from pabr.logic import Term, parse_formula
 from pabr import probability
 from pabr.probability import (
     AUTO,
@@ -245,7 +245,7 @@ def test_disjoint_products_pairwise_complementary_and_exact():
         alphabet, assumptions, _ = helpers.make_alphabet(n, 0)
         table = table_over(assumptions, [rng.choice(helpers.Q_CHOICES) for _ in range(n)])
         terms = sorted(
-            mu_minimize(helpers.random_assumption_terms(rng, assumptions)),
+            helpers.mu_minimize(helpers.random_assumption_terms(rng, assumptions)),
             key=lambda t: t.sort_key,
         )
         out = disjoint_products(terms)
@@ -558,7 +558,6 @@ _HASH_SWEEP = """
 import random
 import helpers
 from pabr.errors import TotalInconsistencyError
-from pabr.logic import clause_to_formula
 from pabr.probability import evaluate
 from pabr.support import minimal_quasi_supports
 
@@ -567,7 +566,7 @@ for _ in range(100):
     kb, table = helpers.random_kb(rng)
     h = helpers.random_clause(rng, list(kb.alphabet.symbols))
     try:
-        r = evaluate(minimal_quasi_supports(kb, clause_to_formula(h)), table)
+        r = evaluate(minimal_quasi_supports(kb, helpers.clause_to_formula(h)), table)
     except TotalInconsistencyError:
         print("total")
     else:

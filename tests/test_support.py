@@ -7,7 +7,7 @@ import pytest
 from pabr.errors import NonAssumptionLiteralError
 from pabr.kbfile import build_kb, parse_kb_text
 from pabr import consequence
-from pabr.logic import Not, clause_to_formula, parse_formula, to_cnf
+from pabr.logic import Not, parse_formula, to_cnf
 from pabr.support import (
     KnowledgeBase,
     compile_kb,
@@ -168,7 +168,7 @@ def test_quasi_supports_are_sound():
         kb, _table = helpers.small_random_kb(rng)
         nsyms = len(kb.alphabet.symbols)
         h = random_clause_hypothesis(rng, kb)
-        sets = minimal_quasi_supports(kb, clause_to_formula(h))
+        sets = minimal_quasi_supports(kb, helpers.clause_to_formula(h))
         for term in sets.mqs:
             units = helpers.term_units(term)
             assert helpers.entails(list(kb.clauses) + units, h, nsyms)
@@ -180,7 +180,7 @@ def test_quasi_supports_are_minimal():
         kb, _table = helpers.small_random_kb(rng)
         nsyms = len(kb.alphabet.symbols)
         h = random_clause_hypothesis(rng, kb)
-        sets = minimal_quasi_supports(kb, clause_to_formula(h))
+        sets = minimal_quasi_supports(kb, helpers.clause_to_formula(h))
         for term in sets.mqs:
             for lit in term.literals:
                 shrunk = helpers.term(
@@ -210,7 +210,7 @@ def test_quasi_support_union_matches_brute_force():
     for _ in range(25):
         kb, table = helpers.small_random_kb(rng)
         h = random_clause_hypothesis(rng, kb)
-        sets = minimal_quasi_supports(kb, clause_to_formula(h))
+        sets = minimal_quasi_supports(kb, helpers.clause_to_formula(h))
         covered = frozenset().union(
             *(term_configs(t, table.symbols) for t in sets.mqs | sets.mc)
         )
@@ -223,7 +223,7 @@ def test_routes_agree_on_clause_hypotheses():
         kb, _table = helpers.small_random_kb(rng)
         state = compile_kb(kb, with_pi=True)
         h = random_clause_hypothesis(rng, kb)
-        interpretive = minimal_quasi_supports(kb, clause_to_formula(h), state=state)
+        interpretive = minimal_quasi_supports(kb, helpers.clause_to_formula(h), state=state)
         compiled = compiled_mqs(state.pi, h)
         assert compiled == interpretive
 
@@ -240,7 +240,7 @@ def test_hypothesis_folds_through_the_prime_implicates(monkeypatch):
     rng = random.Random(707)
     for _ in range(25):
         kb, _table = helpers.small_random_kb(rng)
-        h = clause_to_formula(random_clause_hypothesis(rng, kb))
+        h = helpers.clause_to_formula(random_clause_hypothesis(rng, kb))
         negated = to_cnf(Not(h))
         with_pi = compile_kb(kb, with_pi=True)
         calls.clear()

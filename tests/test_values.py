@@ -141,7 +141,7 @@ def test_records_keep_their_signatures_and_reprs():
     table = AssumptionTable(((A1, 0.5),))
     kb = KnowledgeBase(ALPHABET, table, (1,))
     assert kb.sigma_f == () and kb == KnowledgeBase(ALPHABET, table, sigma_k=(1,), sigma_f=())
-    hint = HintModel(gamma={}, prior={}, omega=frozenset())
+    hint = HintModel(KnowledgeBase(ALPHABET, table, (0,)))
     assert hint.omega == frozenset()
     assert repr(A1) == "Symbol('a1', assumption, 0)"
     assert repr(Literal(A1, False)) == "Literal(-a1)"

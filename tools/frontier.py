@@ -10,10 +10,12 @@ Shapes, each with its size parameter:
             round(2.4 k) clauses and one fact (`workloads.rand3_kb`),
             hypothesis a random clause of one or two literals
     union   n lines `clause -x_i | h` over n assumptions, hypothesis h
-    causes-auto, causes-incexc, causes-sdp
+    union-oracle
+            the same union, h asked with `--method oracle`
+    causes-auto, causes-incexc, causes-sdp, causes-oracle
             r independent causes, lines `clause -x_i | -y_i | -z_i | h`
             over 3r assumptions, hypothesis h asked with `--method` auto,
-            incexc or sdp: r disjoint three-literal support terms
+            incexc, sdp or oracle: r disjoint three-literal support terms
 
 A size is answered when, for every seed of SEEDS, `pabr compile` and
 then `pabr query` without a snapshot both finish within the benchmark's
@@ -51,8 +53,8 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 # each shape with its smallest size; a `causes-M` shape queries with `--method M`
-SMALLEST = {"chain": 1, "rand3": 2, "union": 1,
-            "causes-auto": 1, "causes-incexc": 1, "causes-sdp": 1}
+SMALLEST = {"chain": 1, "rand3": 2, "union": 1, "union-oracle": 1,
+            "causes-auto": 1, "causes-incexc": 1, "causes-sdp": 1, "causes-oracle": 1}
 # the largest size tried, so that a shape that never stops still ends
 MAX_SIZE = 4096
 # exit codes that are answers: a result, or "inconsistent without assumptions"
