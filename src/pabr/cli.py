@@ -33,7 +33,7 @@ from .errors import (
     PabrError,
     TotalInconsistencyError,
 )
-from .logic import bits, canonical, parse_formula
+from .logic import bits, parse_formula
 
 _METHODS = {
     "auto": probability.AUTO,
@@ -58,23 +58,25 @@ def _round12(x: float) -> float:
 
 
 def _terms_json(masks, text_of_bit: dict[int, str]) -> list[list[str]]:
-    """Term texts by literal, both in canonical order, read off the term masks."""
-    return [[text_of_bit[b] for b in bits(m)] for m in canonical(masks)]
+    """Term texts by literal, both in canonical order, read off the term masks.
+
+    Each term's bits are listed once: lists of ascending powers of two
+    sort in the order `logic.canonical` gives their masks.
+    """
+    return [[text_of_bit[b] for b in term] for term in sorted([*bits(m)] for m in masks)]
 
 
 def _load_state(args, kb) -> consequence.CompiledState:
-    """Snapshot if given, else a fresh fold of the stable knowledge; then the facts.
+    """The snapshot with the facts folded onto it as one batch, or without
+    one, the knowledge and the facts folded as one batch.
 
     A snapshot must carry the fingerprint of the knowledge base's
     declarations and `clause` lines and of its own sections.
     """
     if args.snapshot:
         state = consequence.read_snapshot(args.snapshot, kb.alphabet, kb.sigma_k)
-    else:
-        state = consequence.compile_clauses(kb.alphabet, kb.sigma_k)
-    for clause in kb.sigma_f:
-        state = consequence.extend(state, clause)
-    return state
+        return consequence.fold(state, kb.sigma_f)
+    return support.compile_kb(kb)
 
 
 def cmd_compile(args) -> int:

@@ -5,11 +5,12 @@ fall inside a production field (a subsumption-stable clause language,
 given by the literal bits its members may not carry). Two fields matter
 here: clauses over assumption symbols only, and the unrestricted field
 whose minimal implicates are the prime implicates.
-`extend` folds knowledge, facts and a query's negated hypothesis alike:
-into the prime implicates when the state tracks them, reading the
-assumption-only set off them (the field is subsumption-stable, so its
-minimal implicates are the prime implicates inside it), and into the
-assumption-only set directly otherwise.
+`fold` folds a batch of clauses (the knowledge, the facts, a query's
+negated hypothesis): into the prime implicates when the state tracks them,
+reading the assumption-only set off them (the field is
+subsumption-stable, so its minimal implicates are the prime implicates
+inside it), and into the assumption-only set directly otherwise.
+`extend` is the fold of a batch of one.
 
 Everything here runs on clause bitmasks: the folds take and keep masks,
 snapshot lines are read into masks (by `logic.read_clause`, the
@@ -27,21 +28,28 @@ newly kept one subsumes, so kept clauses are never resolved against stale
 ones. The prime-implicate fold starts from the old prime implicates as its
 kept set: they are closed under resolution up to subsumption, so only the
 new clause's consequences need deriving, and what the loop keeps is the
-new prime implicate set. The assumption-only fold resolves against the
-processed clauses as side clauses instead, and `_union` merges its result
-into the old set.
+new prime implicate set. Their tautology seeds (`s | -s`, the prime
+implicates of nothing) stay out of the loop, as resolving with one only
+copies the given clause, and come back at its end unless a unit on their
+symbol or the empty clause was kept. The assumption-only fold resolves
+against the processed clauses as side clauses instead, and `_union`
+merges its result into the old set.
 
 Before it saturates, the assumption-only fold applies Davis and Putnam's
 (1960) affirmative-negative rule. A proposition literal whose complement
-no side clause or new clause holds is pure: it is never resolved away,
-so no field member derives from a clause that holds it. A new clause
-holding one adds nothing to the field; otherwise the side clauses
-holding one are set aside, which can make more literals pure, until
-none is left. For a pure literal x, forgetting x from a clause set
-leaves the set without its x clauses, so the field implicates do not
-change. Every later clause (a fact, a negated hypothesis) joins the scan,
-so a literal that was pure at compile time is not once its complement
-arrives.
+no clause of the set holds is pure: it is never resolved away, so no
+field member derives from a clause that holds it. For a pure literal x,
+forgetting x from a clause set leaves the set without its x clauses, so
+the field implicates do not change. `fold` makes one such pass over the
+processed clauses and the whole batch, setting aside every clause that
+holds a pure literal, which can make more literals pure, until none is
+left; only the batch's clauses left are resolved, each against the
+clauses left before it. `produce` repeats the pass for its one clause
+and sides, since a literal can be pure in the prefix a clause is folded
+onto and not in the whole batch: a new clause holding one adds nothing,
+and the sides holding one are set aside. Every later batch (facts, a
+negated hypothesis) joins the scan, so a literal that was pure at compile
+time is not once its complement arrives.
 """
 
 from __future__ import annotations
@@ -102,6 +110,13 @@ class ProductionField(Value):
         return frozenset(m for m in pairs if not m & self.outside)
 
 
+def _pure_literals(masks: Iterable[int], outside: int, even: int, start: int = 0) -> int:
+    """The literal bits outside the field that occur in `masks` (or in
+    `start`) while their complements do not: the pure literals."""
+    occurring = reduce(or_, masks, start)
+    return occurring & ~swap(occurring, even) & outside
+
+
 def produce(
     sides: Sequence[int], clause: int, field: ProductionField, kept: Iterable[int] = ()
 ) -> list[int]:
@@ -118,7 +133,11 @@ def produce(
     incomparable, so the field members among them are mu-minimal.
 
     Seeded with the prime implicates of some clauses and no sides, it
-    returns the prime implicates of those clauses plus `clause`. With no
+    returns the prime implicates of those clauses plus `clause`. The
+    tautology seeds among them (`s | -s`) stay out of the loop: a seed
+    only resolves into a copy of the given clause, and no clause that can
+    enter lies around it. Each comes back at the end unless a kept clause
+    lies inside it (a unit on its symbol, or the empty clause). With no
     seed, it returns the new minimal field implicates of the sides plus
     `clause`, to be merged with those of the sides by `_union`.
 
@@ -135,16 +154,14 @@ def produce(
     if field.outside:
         # the affirmative-negative rule: a pure literal outside the field is
         # never resolved away, so no field member derives from its clauses
-        while True:
-            occurring = reduce(or_, sides, clause)
-            pure = occurring & ~swap(occurring, even) & field.outside
+        while pure := _pure_literals(sides, field.outside, even, clause):
             if clause & pure:
                 return []
-            pruned = [m for m in sides if not m & pure]
-            if len(pruned) == len(sides):
-                break
-            sides = pruned
+            sides = [m for m in sides if not m & pure]
     sides = [m for m in dict.fromkeys(sides) if not is_tautology(m, even)]
+    seeds = [m for m in kept if is_tautology(m, even)]
+    if seeds:
+        kept = [m for m in kept if not is_tautology(m, even)]
     agenda = deque([clause])
     while agenda:
         given = agenda.popleft()
@@ -162,6 +179,9 @@ def produce(
             if _contains_one_of(r, kept) or _contains_one_of(r, agenda):
                 continue
             agenda.append(r)
+    if seeds and 0 not in kept:
+        units = reduce(or_, (m for m in kept if not m & (m - 1)), 0)
+        kept += [s for s in seeds if not s & units]
     return [m for m in kept if not m & field.outside]
 
 
@@ -282,26 +302,54 @@ def pi_add(state: CompiledState, clause: int) -> CompiledState:
     return CompiledState(field, carc, processed, pi)
 
 
-def extend(state: CompiledState, clause: int) -> CompiledState:
-    """Fold one clause mask: `pi_add` when the state tracks prime implicates,
-    else resolve it against the processed clauses and merge into carc."""
+def fold(state: CompiledState, clauses: Iterable[int]) -> CompiledState:
+    """Fold a batch of clause masks, in order, into `state`.
+
+    With prime implicates, each clause goes through `pi_add`. Otherwise the
+    batch makes one affirmative-negative pass over the processed clauses
+    and itself, repeated until nothing more is set aside: a clause holding
+    a pure proposition literal derives no field member of the whole set.
+    Each new clause left that is no tautology then goes through `produce`,
+    with the processed and earlier new clauses left as its sides, and its
+    result merges into carc by `_union`. `produce` keeps its own pass,
+    because a literal that is not pure in the whole batch can be pure in
+    the prefix a clause is folded onto; a batch of one goes straight to
+    it, since its pass is then this one. One state is built per batch, and
+    its `processed_masks` lists every clause of the batch, in order.
+    """
+    batch = tuple(clauses)
     if state.pi_masks is not None:
-        return pi_add(state, clause)
-    processed = state.processed_masks + (clause,)
-    if is_tautology(clause, even_bits(len(state.field.alphabet))):
-        return CompiledState(state.field, state.carc_masks, processed)
-    fresh = produce(state.processed_masks, clause, state.field)
-    return CompiledState(state.field, _union(state.carc_masks, fresh), processed)
+        for clause in batch:
+            state = pi_add(state, clause)
+        return state
+    field = state.field
+    even = even_bits(len(field.alphabet))
+    aside = 0  # the pure literals found: a clause holding one is set aside
+    if len(batch) > 1:
+        left = state.processed_masks + batch
+        while pure := _pure_literals(left, field.outside, even):
+            aside |= pure
+            left = [m for m in left if not m & pure]
+    sides = [m for m in state.processed_masks if not m & aside]
+    carc = state.carc_masks
+    for clause in batch:
+        if clause & aside or is_tautology(clause, even):
+            continue
+        carc = _union(carc, produce(sides, clause, field))
+        sides.append(clause)
+    return CompiledState(field, carc, state.processed_masks + batch)
+
+
+def extend(state: CompiledState, clause: int) -> CompiledState:
+    """Fold one clause mask: the `fold` of a batch of one."""
+    return fold(state, (clause,))
 
 
 def compile_clauses(
     alphabet: Alphabet, clauses: Iterable[int], with_pi: bool = False
 ) -> CompiledState:
-    """Fold the clause masks in order into a fresh state over `alphabet`."""
-    state = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi)
-    for c in clauses:
-        state = extend(state, c)
-    return state
+    """Fold the clause masks, as one batch, into a fresh state over `alphabet`."""
+    return fold(CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi), clauses)
 
 
 # --- snapshot files ----------------------------------------------------------

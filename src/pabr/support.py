@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .consequence import CompiledState, compile_clauses, extend
+from .consequence import CompiledState, compile_clauses, fold
 from .errors import NonAssumptionLiteralError
 from .logic import (
     ASSUMPTION,
@@ -145,17 +145,15 @@ def minimal_quasi_supports(
 ) -> SupportSets:
     """Minimal quasi-supports of `hypothesis` plus the minimal contradictions.
 
-    The compiled state for the clause set is `extend`ed, query-locally, with
-    the clause masks of the negated hypothesis in canonical order, just like
-    the facts; the assumption-only minimal implicates of that extension
-    negate into the quasi-support terms.
+    The compiled state for the clause set is `fold`ed, query-locally, with
+    the clause masks of the negated hypothesis in canonical order as one
+    batch, just like the facts; the assumption-only minimal implicates of
+    that extension negate into the quasi-support terms.
     """
     if state is None:
         state = compile_kb(kb)
     mc = _state_terms(state)
-    query_state = state
-    for clause in canonical(to_cnf(Not(hypothesis))):
-        query_state = extend(query_state, clause)
+    query_state = fold(state, canonical(to_cnf(Not(hypothesis))))
     return SupportSets.of_masks(_state_terms(query_state), mc, state.field.alphabet.term_of)
 
 

@@ -519,6 +519,32 @@ def reference_pi_add(state, clause):
     return CompiledState(state.field, carc, processed, pi)
 
 
+def reference_extend(state, clause):
+    """`consequence.extend` by the per-clause route `fold` replaced: `pi_add`
+    with prime implicates, else one `produce` against every processed
+    clause, merged into carc by `_union`."""
+    from pabr.consequence import CompiledState, _union, pi_add, produce
+    from pabr.logic import even_bits
+
+    if state.pi_masks is not None:
+        return pi_add(state, clause)
+    processed = state.processed_masks + (clause,)
+    if is_tautology(clause, even_bits(len(state.field.alphabet))):
+        return CompiledState(state.field, state.carc_masks, processed)
+    fresh = produce(state.processed_masks, clause, state.field)
+    return CompiledState(state.field, _union(state.carc_masks, fresh), processed)
+
+
+def reference_compile_clauses(alphabet, clauses, with_pi=False):
+    """`consequence.compile_clauses` as a `reference_extend` per clause."""
+    from pabr.consequence import CompiledState, ProductionField
+
+    state = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi)
+    for c in clauses:
+        state = reference_extend(state, c)
+    return state
+
+
 # --- reference snapshot reader and writer -------------------------------------
 
 

@@ -11,6 +11,7 @@ from pabr.consequence import (
     _union,
     compile_clauses,
     extend,
+    fold,
     parse_snapshot,
     pi_add,
     produce,
@@ -238,6 +239,73 @@ def test_seeded_pi_fold_matches_the_side_clause_route(monkeypatch):
     for alphabet, clauses, state in cases:
         want = compile_clauses(alphabet, clauses, with_pi=True)
         assert (state.pi_masks, state.carc_masks) == (want.pi_masks, want.carc_masks)
+
+
+def _batch_fold_cases(rng):
+    """Clause mask lists with their alphabets: `_messy_clauses` KBs, and
+    `_one_polarity_shapes` with a repeated line, a tautology and now and
+    then the empty clause inserted."""
+    for _ in range(150):
+        alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
+        yield alphabet, _messy_clauses(rng, list(alphabet.symbols), rng.randint(1, 10))
+    for _ in range(60):
+        for alphabet, clauses in _one_polarity_shapes(rng):
+            clauses = list(clauses)
+            extras = [rng.choice(clauses), 3 << 2 * rng.randrange(len(alphabet))]
+            extras += [0] * (rng.random() < 0.1)
+            for extra in extras:
+                clauses.insert(rng.randint(0, len(clauses)), extra)
+            yield alphabet, clauses
+
+
+def test_batch_fold_matches_the_per_clause_route():
+    rng = random.Random(3303)
+    cases = list(_batch_fold_cases(rng))
+    assert len(cases) >= 300
+    for alphabet, clauses in cases:
+        for with_pi in (False, True):
+            want = helpers.reference_compile_clauses(alphabet, clauses, with_pi)
+            split = rng.randint(0, len(clauses))
+            onto = compile_clauses(alphabet, clauses[:split], with_pi)
+            for got in (compile_clauses(alphabet, clauses, with_pi), fold(onto, clauses[split:])):
+                # carc, pi and the processed clauses in fold order
+                assert got == want
+                assert snapshot_text(got) == snapshot_text(want)
+
+
+def test_seeded_produce_matches_the_reference():
+    rng = random.Random(1992)
+    seeds_gone = inconsistent = 0
+    for _ in range(150):
+        alphabet, _, _ = helpers.make_alphabet(rng.randint(1, 4), rng.randint(1, 4))
+        symbols = list(alphabet.symbols)
+        full = ProductionField.all_clauses(alphabet)
+        # units and the empty clause remove seeds, before the fold and in it
+        state = compile_clauses(alphabet, _with_units(rng, symbols, rng.randint(0, 6)), True)
+        seeds_gone += not full.seed_masks() <= state.pi_masks
+        inconsistent += state.pi_masks == {0}
+        for clause in _with_units(rng, symbols, 3):
+            got = produce((), clause, full, state.pi_masks)
+            want = helpers.reference_produce_masks((), clause, full, state.pi_masks)
+            assert len(got) == len(set(got))
+            assert set(got) == set(want)
+    assert seeds_gone > inconsistent > 0
+
+
+def test_chain_and_union_compile_with_no_produce_call(monkeypatch):
+    # p_n and h occur positive only, and each p_i once the lines holding
+    # p_{i+1} are set aside, so the batch pass sets every line aside
+    calls = _count_produce(monkeypatch)
+    n = 200
+    kb, _table = build_kb(parse_kb_text(helpers.chain_text(n)))
+    chain_state = compile_clauses(kb.alphabet, kb.clauses)
+    alphabet, assumptions, (h,) = helpers.make_alphabet(n, 1)
+    lines = [helpers.mask((a, False), (h, True)) for a in assumptions]
+    union_state = compile_clauses(alphabet, lines)
+    assert calls == []
+    for state, clauses in ((chain_state, kb.clauses), (union_state, lines)):
+        assert state.carc_masks == state.field.seed_masks()
+        assert state.processed_masks == tuple(clauses)
 
 
 def _with_units(rng, symbols, count):
@@ -498,7 +566,8 @@ def _count_produce(monkeypatch):
 def test_extend_runs_one_fold_per_clause(monkeypatch, with_pi):
     calls = _count_produce(monkeypatch)
     alphabet, (a1,), (p,) = helpers.make_alphabet(1, 1)
-    state = compile_clauses(alphabet, [helpers.mask((a1, False), (p, True))], with_pi)
+    state = CompiledState.initial(ProductionField.assumption_only(alphabet), with_pi)
+    state = extend(state, helpers.mask((a1, False), (p, True)))
     second = helpers.mask((a1, False), (p, False))
     state = extend(state, second)
     state = extend(state, helpers.mask((p, True), (p, False)))

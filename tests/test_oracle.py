@@ -93,7 +93,8 @@ def test_enumeration_limit(monkeypatch):
         build_hint(kb)
     monkeypatch.setattr(oracle, "SYMBOL_LIMIT", 21)
     model = build_hint(kb)
-    assert len(model.gamma) == 2 ** 11
+    # the configurations, not `gamma`: its 2^21 interpretation tuples take ~480 MB
+    assert len(model.configurations) == 2 ** 11
 
 
 def test_total_inconsistency_raises():

@@ -6,6 +6,9 @@ Shapes, each with its size parameter:
 
     chain   a fault chain of n links (`perfbench.workloads.chain_kb`),
             hypothesis p_n
+    chain-pi
+            the same chain compiled with `--pi`, then p_n asked with
+            `--snapshot` on that snapshot
     rand3   random width-3 CNF over k assumptions and k propositions with
             round(2.4 k) clauses and one fact (`workloads.rand3_kb`),
             hypothesis a random clause of one or two literals
@@ -18,10 +21,10 @@ Shapes, each with its size parameter:
             incexc, sdp or oracle: r disjoint three-literal support terms
 
 A size is answered when, for every seed of SEEDS, `pabr compile` and
-then `pabr query` without a snapshot both finish within the benchmark's
-per-op budgets (`perfbench/worker.py`: 1 s and a 32 MB rise in resident
-memory, enforced by its `Runner`) with exit code 0, or 3 for a knowledge
-base that is inconsistent on its own. Each (size, seed) runs in a child
+then `pabr query` without a snapshot (chain-pi: with it) both finish
+within the benchmark's per-op budgets (`perfbench/worker.py`: 1 s and a
+32 MB rise in resident memory, enforced by its `Runner`) with exit code
+0, or 3 for a knowledge base that is inconsistent on its own. Each (size, seed) runs in a child
 process of its own, one at a time, with pabr imported from `--src`
 (default: this tree's `src`). Sizes double from the shape's smallest
 until one is not answered, then bisect between the last answered size
@@ -53,7 +56,7 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 # each shape with its smallest size; a `causes-M` shape queries with `--method M`
-SMALLEST = {"chain": 1, "rand3": 2, "union": 1, "union-oracle": 1,
+SMALLEST = {"chain": 1, "chain-pi": 1, "rand3": 2, "union": 1, "union-oracle": 1,
             "causes-auto": 1, "causes-incexc": 1, "causes-sdp": 1, "causes-oracle": 1}
 # the largest size tried, so that a shape that never stops still ends
 MAX_SIZE = 4096
@@ -67,7 +70,7 @@ def make_kb(shape: str, size: int, seed: int, workdir: str):
     """The knowledge base file of `shape` at `size` and the hypothesis to ask."""
     rng = random.Random(seed)
     path = os.path.join(workdir, f"{shape}{size}.pabr")
-    if shape == "chain":
+    if shape.startswith("chain"):
         return workloads.chain_kb(path, size, rng), ("v", f"p{size}")
     if shape == "rand3":
         kb = workloads.rand3_kb(path, rng, size, size, round(2.4 * size))
@@ -87,11 +90,14 @@ def child(src: str, shape: str, size: int, seed: int) -> None:
 
     runner = worker.Runner()
     results = []
-    method = shape.partition("-")[2] or "auto"
+    suffix = shape.partition("-")[2]
+    with_pi = suffix == "pi"
+    method = "auto" if with_pi else suffix or "auto"
     with tempfile.TemporaryDirectory() as workdir:
         kb, hypothesis = make_kb(shape, size, seed, workdir)
-        query = workloads.query_op(kb, hypothesis, method=method)
-        for op in (workloads.compile_op(kb, kb.path + ".snap"), query):
+        snap = kb.path + ".snap"
+        query = workloads.query_op(kb, hypothesis, snap if with_pi else None, method)
+        for op in (workloads.compile_op(kb, snap, with_pi), query):
             record = runner.run(cli.main, op)
             results.append({"op": op.kind, "status": record.status, "rc": record.rc,
                             "seconds": round(record.latency, 3)})

@@ -95,12 +95,14 @@ def main() -> None:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding the pabr package")
     parser.add_argument("--ops", type=int, default=300, help="ops run per workload")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--workdir", help="where the KB and snapshot files go (default: a temp dir)")
+    parser.add_argument("--workdir", help="where the KB and snapshot files go, created if missing (default: a temp dir)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from pabr import cli
 
     print(f"pabr from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
     for name in workloads.WORKLOADS:
         workdir = tempfile.mkdtemp(prefix=f"replay-{name}-", dir=args.workdir)
         try:
